@@ -19,7 +19,15 @@ from .core import (
     make_cover,
     make_universe,
 )
-from .enumeration import all_classes, all_covers, all_partitions, canonical_masks, hasse_edges, iter_covers
+from .enumeration import (
+    all_classes,
+    all_covers,
+    all_partitions,
+    canonical_masks,
+    hasse_edges,
+    iter_antichain_covers,
+    iter_covers,
+)
 from .errors import (
     CoverLatticeError,
     CycleError,
@@ -111,6 +119,7 @@ __all__ = [
     "hasse_edges",
     "invert_sensor_map",
     "is_partition",
+    "iter_antichain_covers",
     "iter_covers",
     "iter_u_inflation",
     "join",

@@ -21,6 +21,7 @@ __all__ = [
     "all_partitions",
     "canonical_masks",
     "hasse_edges",
+    "iter_antichain_covers",
     "iter_covers",
 ]
 
@@ -62,6 +63,30 @@ def iter_covers(universe: FeatureUniverse, *, unbounded: bool = False) -> Iterat
                 yield Cover._from_canonical(universe, combo)
 
 
+def iter_antichain_covers(universe: FeatureUniverse) -> Iterator[Cover]:
+    """Stream every covering antichain of non-empty subsets exactly once.
+
+    These are the canonical representatives of the star classes.  A
+    depth-first walk over ``canonical_masks`` never picks a mask that
+    contains one already chosen, so each cover's pre-images come out in
+    canonical order, and the stream is ordered lexicographically by them.
+    Unguarded: there are 9 such covers at 3 features, 114 at 4 and 6894
+    at 5, and the count grows doubly exponentially.
+    """
+    full = universe.full_mask
+    chosen: list[int] = []
+
+    def rec(candidates: list[int], union: int) -> Iterator[Cover]:
+        if union == full:
+            yield Cover._from_canonical(universe, tuple(chosen))
+        for i, m in enumerate(candidates):
+            chosen.append(m)
+            yield from rec([x for x in candidates[i + 1:] if x & m != m], union | m)
+            chosen.pop()
+
+    yield from rec(list(canonical_masks(universe)), 0)
+
+
 def all_covers(universe: FeatureUniverse, *, limit: int | None = None) -> tuple[Cover, ...]:
     """Materialize every valid cover in canonical order (guarded)."""
     bound = COVER_ENUM_LIMIT if limit is None else limit
@@ -75,23 +100,16 @@ def all_covers(universe: FeatureUniverse, *, limit: int | None = None) -> tuple[
 def all_classes(universe: FeatureUniverse, *, limit: int | None = None) -> set[StarClass]:
     """One star class per star-equivalence class of covers.
 
-    The class representatives are exactly the covering antichains of
-    non-empty subsets, so those are enumerated directly.
+    A class is fixed by its closure, and its unique smallest member is the
+    inclusion-maximal pre-images of any member: a covering antichain.  So
+    the classes are exactly the covering antichains, one closure each.
     """
     bound = CLASS_ENUM_LIMIT if limit is None else limit
     if universe.n > bound:
         raise SizeGuardError(
             f"class enumeration limited to {bound} features (got {universe.n})"
         )
-    out = set()
-    for c in iter_covers(universe, unbounded=True):
-        masks = c.masks
-        antichain = not any(
-            a != b and a & b == a for a in masks for b in masks
-        )
-        if antichain:
-            out.add(StarClass(c, star_closure(c)))
-    return out
+    return {StarClass(rep, star_closure(rep)) for rep in iter_antichain_covers(universe)}
 
 
 def _iter_index_partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -162,6 +162,8 @@ def parse_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be a JSON object")
     if "sensitive" in doc:

@@ -104,11 +104,15 @@ def upper_covers(covers: Iterable[Cover]) -> set[Cover]:
         fam = 0
         for m in c.masks:
             fam |= 1 << bit[m]
-        fams.append(fam)
+        fams.append((fam, c))
+    # Largest first: whatever contains a member contains a maximal one,
+    # which is then already kept, so only the kept members are compared.
+    fams.sort(key=lambda fc: -len(fc[1].masks))
+    kept: list[int] = []
     out = set()
-    for i, c in enumerate(items):
-        fi = fams[i]
-        if not any(fi != fj and fi & fj == fi for fj in fams):
+    for fam, c in fams:
+        if not any(fam & k == fam for k in kept):
+            kept.append(fam)
             out.add(c)
     return out
 

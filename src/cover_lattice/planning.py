@@ -16,6 +16,8 @@ from typing import Iterable, Mapping
 from . import _kernel
 from .core import Cover, FeatureUniverse
 from .errors import SizeGuardError, UniverseMismatchError, UnsolvableError, ValidationError
+from .order import upper_covers
+from .star import star_closure
 
 __all__ = [
     "Belief",
@@ -33,7 +35,7 @@ __all__ = [
 ]
 
 MAX_STATES = 16
-SEARCH_LIMIT = 4
+SEARCH_LIMIT = 5
 
 Belief = frozenset
 
@@ -335,33 +337,20 @@ def verify_policy(p: PlanningProblem, c: Cover, pol: Policy) -> bool:
 def maximal_solvable_covers(p: PlanningProblem, *, limit: int | None = None) -> set[Cover]:
     """Sub-collection-maximal covers under which the problem stays solvable.
 
-    Worst-case sensing only loses plans when readings are added, so the
-    solvable covers are closed under covering sub-collections and a cover
-    is maximal iff no single-pre-image extension is solvable.  Applying
-    u-inflation to the result regenerates the full solvable set.
+    Solvability is star-invariant, and worst-case sensing only loses plans
+    when readings are added, so the solvable covers are closed under
+    covering sub-collections.  A maximal one therefore equals its own
+    star-closure, and the answer is the maximal closures of the solvable
+    star classes.  Each class is ranked once, on its covering-antichain
+    representative.  Applying u-inflation to the result regenerates the
+    full solvable set.
     """
     n = p.universe.n
     bound = SEARCH_LIMIT if limit is None else limit
     if n > bound:
         raise SizeGuardError(f"cover search limited to {bound} features (got {n})")
-    from .enumeration import canonical_masks, iter_covers
+    from .enumeration import iter_antichain_covers
 
-    masks = canonical_masks(p.universe)
-    bit = {m: i for i, m in enumerate(masks)}
-    solvable_fams: set[int] = set()
-    by_fam: dict[int, Cover] = {}
-    for cover in iter_covers(p.universe, unbounded=True):
-        if solvable(p, cover):
-            fam = 0
-            for m in cover.masks:
-                fam |= 1 << bit[m]
-            solvable_fams.add(fam)
-            by_fam[fam] = cover
-    width = len(masks)
-    out = set()
-    for fam, cover in by_fam.items():
-        if not any(
-            not fam >> j & 1 and (fam | (1 << j)) in solvable_fams for j in range(width)
-        ):
-            out.add(cover)
-    return out
+    return upper_covers(
+        star_closure(rep) for rep in iter_antichain_covers(p.universe) if solvable(p, rep)
+    )

@@ -180,13 +180,7 @@ def partition_slice(universe: FeatureUniverse, *, limit: int | None = None) -> O
     bound = PARTITION_SLICE_LIMIT if limit is None else limit
     if universe.n > bound:
         raise SizeGuardError(f"partition slice limited to {bound} features (got {universe.n})")
-    from .enumeration import all_partitions
+    from .enumeration import all_partitions, hasse_edges
 
     parts = all_partitions(universe, limit=bound)
-    strict = {(a, b) for a in parts for b in parts if a != b and refines(a, b)}
-    edges = frozenset(
-        (a, b)
-        for (a, b) in strict
-        if not any(c is not a and c is not b and (a, c) in strict and (c, b) in strict for c in parts)
-    )
-    return OrderDiagram(parts, edges)
+    return OrderDiagram(parts, frozenset(hasse_edges(parts, "proceeds")))

@@ -102,6 +102,15 @@ class TestValidate:
         status, _, _ = invoke(capsys, "validate", "--input", str(path))
         assert status == 2
 
+    def test_deeply_nested_json_is_usage_class(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"a":' * 100_000 + "1" + "}" * 100_000, encoding="utf-8")
+        status, out, err = invoke(capsys, "validate", "--input", str(path))
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: $:")
+        assert "Traceback" not in err
+
 
 class TestCoverOps:
     def test_invert_gps(self, capsys, gps_map):
@@ -424,12 +433,13 @@ class TestBoundPlumbing:
         assert out.count(";") == 1 + 203 + 856  # rankdir, Bell(6) nodes, reduction edges
 
     def test_search_sensors_bound(self, capsys, files):
+        states = ["1", "2", "3", "4", "5", "6"]
         problem = files(
-            "p5.json",
+            "p6.json",
             {
-                "states": ["1", "2", "3", "4", "5"],
+                "states": states,
                 "actions": ["a"],
-                "transition": {s: {"a": [s]} for s in ["1", "2", "3", "4", "5"]},
+                "transition": {s: {"a": [s]} for s in states},
                 "initial": ["1"],
                 "goal": ["1"],
             },

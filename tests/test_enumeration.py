@@ -10,11 +10,14 @@ from cover_lattice import (
     canonical_rep,
     hasse_edges,
     is_partition,
+    iter_antichain_covers,
     iter_covers,
     make_universe,
     star_closure,
     subsumes,
 )
+
+from cover_lattice.core import preimage_key
 
 from util import C, as_family, bell_number, brute_cover_families, cover_count_formula
 
@@ -79,6 +82,35 @@ class TestAllClasses:
             masks = rep.masks
             assert not any(a != b and a & b == a for a in masks for b in masks)
             assert star_closure(rep) == sc.closure
+
+
+class TestIterAntichainCovers:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_antichain_members_of_all_covers(self, n):
+        u = make_universe([str(i + 1) for i in range(n)])
+        got = list(iter_antichain_covers(u))
+        assert len(set(got)) == len(got)
+        expected = {
+            c
+            for c in iter_covers(u)
+            if not any(a != b and a & b == a for a in c.masks for b in c.masks)
+        }
+        assert set(got) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_canonical_order(self, n):
+        u = make_universe([str(i + 1) for i in range(n)])
+        keys = []
+        for c in iter_antichain_covers(u):
+            key = tuple(preimage_key(m) for m in c.masks)
+            assert list(key) == sorted(key)
+            assert c == C(u, *("".join(s) for s in c.sets()))
+            keys.append(key)
+        assert keys == sorted(keys)
+
+    def test_count_at_five_features(self):
+        u5 = make_universe([str(i + 1) for i in range(5)])
+        assert sum(1 for _ in iter_antichain_covers(u5)) == 6894
 
 
 class TestAllPartitions:

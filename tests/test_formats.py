@@ -43,6 +43,11 @@ class TestParse:
         with pytest.raises(SchemaError, match=r"\$: invalid JSON"):
             parse_document("{not json")
 
+    def test_nesting_too_deep(self):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_document("[" * 100_000 + "]" * 100_000)
+        assert excinfo.value.path == "$"
+
     def test_schema_violation_carries_path(self):
         with pytest.raises(SchemaError, match=r"\$\.cover\[0\]\[1\]"):
             parse_document('{"universe":["1"],"cover":[["1",2]]}')

@@ -1,12 +1,14 @@
 import pytest
 
 from cover_lattice import (
+    Cover,
     PlanningProblem,
     Policy,
     SizeGuardError,
     UniverseMismatchError,
     UnsolvableError,
     ValidationError,
+    canonical_masks,
     extract_policy,
     find_policy_counterexample,
     make_problem,
@@ -20,7 +22,7 @@ from cover_lattice import (
     winning_beliefs,
 )
 
-from util import C, andor_solvable, random_problem
+from util import C, andor_solvable, exhaustive_maximal_solvable_covers, random_problem
 
 
 def B(*labels):
@@ -242,10 +244,29 @@ class TestMaximalSolvableCovers:
         assert maximal_solvable_covers(p) == {C(u2, "1", "2", "12")}
 
     def test_guard(self):
-        u = make_universe([str(i) for i in range(5)])
-        p = PlanningProblem(u, ("a",), (tuple(1 << i for i in range(5)),), 1, 1)
+        u = make_universe([str(i) for i in range(6)])
+        p = PlanningProblem(u, ("a",), (tuple(1 << i for i in range(6)),), 1, 1)
         with pytest.raises(SizeGuardError):
             maximal_solvable_covers(p)
+
+    @pytest.mark.parametrize("n_actions", [1, 2, 3])
+    @pytest.mark.parametrize("n,seeds", [(2, range(10)), (3, range(10)), (4, (3, 4))])
+    def test_matches_exhaustive_search(self, n, seeds, n_actions):
+        u = make_universe([str(i + 1) for i in range(n)])
+        for seed in seeds:
+            p = random_problem(u, seed, n_actions)
+            assert maximal_solvable_covers(p) == exhaustive_maximal_solvable_covers(p)
+
+    def test_five_features(self):
+        u = make_universe([str(i + 1) for i in range(5)])
+        p = random_problem(u, 6, 2)
+        got = maximal_solvable_covers(p)
+        assert len(got) == 5
+        for c in got:
+            assert solvable(p, c)
+            for m in canonical_masks(u):
+                if m not in c.mask_set:
+                    assert not solvable(p, Cover.from_masks(u, c.masks + (m,)))
 
     @pytest.mark.slow
     def test_junction_validated_against_brute_force(self, junction, u4):

@@ -240,6 +240,20 @@ class TestPartitions:
             for q in parts:
                 assert refines(p, q) == star_subsumes(p, q) == proceeds(p, q)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_slice_is_reduction_of_refinement(self, n):
+        # direct O(P^3) transitive reduction of the refinement order
+        u = make_universe([str(i + 1) for i in range(n)])
+        diagram = partition_slice(u)
+        parts = diagram.nodes
+        strict = {(a, b) for a in parts for b in parts if a != b and refines(a, b)}
+        expected = {
+            (a, b)
+            for a, b in strict
+            if not any((a, c) in strict and (c, b) in strict for c in parts if c not in (a, b))
+        }
+        assert diagram.edges == expected
+
     def test_slice_guard(self):
         u = make_universe([str(i) for i in range(7)])
         with pytest.raises(SizeGuardError):

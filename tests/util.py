@@ -2,7 +2,9 @@
 
 Oracles here deliberately avoid the package's own machinery: covers are
 re-derived with ``itertools`` over frozensets, solvability with a top-down
-AND-OR path search, counts with closed-form formulas.
+AND-OR path search, counts with closed-form formulas.  The one exception is
+``exhaustive_maximal_solvable_covers``: it uses the package's enumeration
+and kernel, but ranks every cover rather than one cover per star class.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ import random
 from itertools import combinations
 from math import comb
 
-from cover_lattice import Cover, PlanningProblem, make_cover
+from cover_lattice import (
+    Cover,
+    PlanningProblem,
+    canonical_masks,
+    iter_covers,
+    make_cover,
+    solvable,
+)
 
 
 def C(universe, *sets: str) -> Cover:
@@ -59,6 +68,26 @@ def fam_bits(index: dict[int, int], cover: Cover) -> int:
     for m in cover.masks:
         fam |= 1 << index[m]
     return fam
+
+
+def exhaustive_maximal_solvable_covers(problem: PlanningProblem) -> set[Cover]:
+    """Maximal solvable covers by ranking every cover (guarded at 4 features).
+
+    A solvable cover is maximal iff no single-pre-image extension of it is
+    solvable, because solvable covers are closed under covering
+    sub-collections.
+    """
+    index = {m: i for i, m in enumerate(canonical_masks(problem.universe))}
+    by_fam = {
+        fam_bits(index, c): c for c in iter_covers(problem.universe) if solvable(problem, c)
+    }
+    return {
+        c
+        for fam, c in by_fam.items()
+        if not any(
+            not fam >> j & 1 and (fam | 1 << j) in by_fam for j in range(len(index))
+        )
+    }
 
 
 def random_problem(universe, seed: int, n_actions: int = 2) -> PlanningProblem:
