@@ -73,10 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--order", choices=["subsumption", "star", "proceeds"], default="subsumption"
     )
-    common.add_argument(
-        "--seed", type=int, metavar="INT",
-        help="reserved for scripted workloads; current subcommands are deterministic",
-    )
     parser = argparse.ArgumentParser(
         prog="cover-lattice",
         description="Sensor covers: subsumption semilattice, star quotient, belief planning.",

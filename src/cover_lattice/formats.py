@@ -151,12 +151,24 @@ def _parse_stipulation(doc: dict) -> Stipulation:
     return Stipulation(frozenset(sensitive), k)
 
 
+# The key that names each layout; a document may carry at most one of them.
+# A document with only ``universe`` is a universe.
+_LAYOUT_PARSERS = {
+    "sensitive": _parse_stipulation,
+    "states": _parse_problem,
+    "readings": _parse_sensor_map,
+    "cover": _parse_cover,
+    "covers": _parse_cover_list,
+}
+
+
 def parse_document(text: str):
     """Parse a JSON document into its domain value.
 
     Recognizes universe, cover, cover-list, sensor-map, planning-problem,
-    and stipulation layouts.  Shape violations raise ``SchemaError`` with a
-    JSON path; semantic violations come from the value constructors.
+    and stipulation layouts.  Shape violations, including a document that
+    names more than one layout, raise ``SchemaError`` with a JSON path;
+    semantic violations come from the value constructors.
     """
     try:
         doc = json.loads(text)
@@ -166,16 +178,11 @@ def parse_document(text: str):
         raise SchemaError("$", "invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be a JSON object")
-    if "sensitive" in doc:
-        return _parse_stipulation(doc)
-    if "states" in doc:
-        return _parse_problem(doc)
-    if "readings" in doc:
-        return _parse_sensor_map(doc)
-    if "cover" in doc:
-        return _parse_cover(doc)
-    if "covers" in doc:
-        return _parse_cover_list(doc)
+    keys = [k for k in _LAYOUT_PARSERS if k in doc]
+    if len(keys) > 1:
+        raise SchemaError("$", f"ambiguous document layout: keys {', '.join(keys)}")
+    if keys:
+        return _LAYOUT_PARSERS[keys[0]](doc)
     if "universe" in doc:
         return _universe_of(doc)
     raise SchemaError("$", "unrecognized document layout")

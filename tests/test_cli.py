@@ -111,6 +111,15 @@ class TestValidate:
         assert err.startswith("error: $:")
         assert "Traceback" not in err
 
+    def test_ambiguous_layout_is_usage_class(self, capsys, tmp_path):
+        path = tmp_path / "both.json"
+        path.write_text('{"states":["a"],"sensitive":["a"]}', encoding="utf-8")
+        status, out, err = invoke(capsys, "validate", "--input", str(path))
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: $: ambiguous document layout")
+        assert "Traceback" not in err
+
 
 class TestCoverOps:
     def test_invert_gps(self, capsys, gps_map):
@@ -386,9 +395,9 @@ class TestDeterminism:
 
 
 class TestEntryPoints:
-    def test_seed_flag_accepted(self, capsys):
+    def test_seed_flag_rejected(self, capsys):
         status, out, _ = invoke(capsys, "enumerate", "--max-n", "2", "--seed", "7")
-        assert status == 0 and out == "5\n"
+        assert status == 2 and out == ""
 
     def test_module_invocation(self, tmp_path):
         import subprocess

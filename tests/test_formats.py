@@ -60,6 +60,12 @@ class TestParse:
         with pytest.raises(SchemaError, match="unrecognized"):
             parse_document('{"weird": 1}')
 
+    def test_ambiguous_layout(self):
+        with pytest.raises(SchemaError, match="ambiguous document layout") as excinfo:
+            parse_document('{"states":["a"],"sensitive":["a"]}')
+        assert "sensitive, states" in str(excinfo.value)
+        assert excinfo.value.path == "$"
+
     def test_universe_document(self):
         u = parse_document('{"universe":["a","b"]}')
         assert isinstance(u, FeatureUniverse)

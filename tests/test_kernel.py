@@ -1,20 +1,26 @@
-"""Backend equivalence and certificate checks for the ranking kernels."""
+"""Certificate checks for the belief-ranking kernel."""
+
+import random
 
 import pytest
 
-from cover_lattice import _fixpoint_py, all_covers, make_universe
+from cover_lattice import all_covers, make_universe
+from cover_lattice._kernel import rank_table
 from cover_lattice.planning import _post_list
 
 from util import random_problem
 
-BACKENDS = [pytest.param(_fixpoint_py.rank_table, id="pure")]
-try:
-    from cover_lattice import _fixpoint
 
-    BACKENDS.append(pytest.param(_fixpoint.rank_table, id="compiled"))
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
+def _random_masks(universe, rng):
+    # Random readings, completed to a cover by one reading over the rest.
+    full = universe.full_mask
+    masks = {rng.randint(1, full) for _ in range(rng.randint(1, 6))}
+    union = 0
+    for m in masks:
+        union |= m
+    if union != full:
+        masks.add(full & ~union)
+    return sorted(masks)
 
 
 def _workload():
@@ -25,7 +31,14 @@ def _workload():
         for seed in seeds:
             p = random_problem(u, seed, n_actions=1 + seed % 3)
             for c in covers[:: max(1, len(covers) // 40)]:
-                cases.append((p, c))
+                cases.append((p, list(c.masks)))
+    for n in (5, 6, 8):
+        u = make_universe([str(i + 1) for i in range(n)])
+        for seed in range(3):
+            rng = random.Random(1000 * n + seed)
+            p = random_problem(u, seed, n_actions=2)
+            for _ in range(4):
+                cases.append((p, _random_masks(u, rng)))
     return cases
 
 
@@ -34,24 +47,19 @@ def workload():
     return _workload()
 
 
-def _call(kernel, p, c):
-    return kernel(p.universe.n, p.goal, list(c.masks), len(p.actions), _post_list(p))
-
-
-@pytest.mark.parametrize("kernel", BACKENDS)
-def test_rank_certificates(kernel, workload):
-    # Every output must be a self-certifying fixpoint, whichever backend ran.
-    for p, c in workload:
-        ranks = _call(kernel, p, c)
+def test_rank_certificates(workload):
+    # Every output must be a self-certifying fixpoint.
+    for p, masks in workload:
         acount = len(p.actions)
         post = _post_list(p)
+        ranks = rank_table(p.universe.n, p.goal, masks, acount, post)
         for b in range(1, 1 << p.universe.n):
             k = ranks[b]
             if k == 0:
                 assert not b & ~p.goal
             elif k > 0:
                 assert b & ~p.goal
-                for r in c.masks:
+                for r in masks:
                     br = b & r
                     if br:
                         assert any(
@@ -60,49 +68,17 @@ def test_rank_certificates(kernel, workload):
             else:
                 assert any(
                     all(ranks[post[(b & r) * acount + a]] < 0 for a in range(acount))
-                    for r in c.masks
+                    for r in masks
                     if b & r
                 )
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_backends_agree(workload):
-    for p, c in workload:
-        assert _call(_fixpoint.rank_table, p, c) == _call(_fixpoint_py.rank_table, p, c)
-
-
-@pytest.mark.parametrize("kernel", BACKENDS)
-def test_no_action_world(kernel):
-    u = make_universe(["1", "2", "3"])
-    post = []
-    ranks = kernel(3, 4, [7], 0, post)
+def test_no_action_world():
+    ranks = rank_table(3, 4, [7], 0, [])
     assert ranks == [-1, -1, -1, -1, 0, -1, -1, -1]
 
 
 def test_backend_report():
     from cover_lattice import KERNEL_BACKEND
 
-    assert KERNEL_BACKEND in ("pure", "compiled")
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_backends_agree_on_larger_universes():
-    import random
-
-    for n in (5, 6, 8):
-        u = make_universe([str(i + 1) for i in range(n)])
-        full = u.full_mask
-        for seed in range(3):
-            rng = random.Random(1000 * n + seed)
-            p = random_problem(u, seed, n_actions=2)
-            for _ in range(4):
-                masks = {rng.randint(1, full) for _ in range(rng.randint(1, 6))}
-                union = 0
-                for m in masks:
-                    union |= m
-                if union != full:
-                    masks.add(full & ~union)
-                masks = sorted(masks)
-                pure = _fixpoint_py.rank_table(n, p.goal, masks, 2, _post_list(p))
-                fast = _fixpoint.rank_table(n, p.goal, masks, 2, _post_list(p))
-                assert pure == fast
+    assert KERNEL_BACKEND == "pure"
