@@ -152,7 +152,7 @@ def _parse_stipulation(doc: dict) -> Stipulation:
 
 
 # The key that names each layout; a document may carry at most one of them.
-# A document with only ``universe`` is a universe.
+# A document with none of them but ``universe`` is a universe.
 _LAYOUT_PARSERS = {
     "sensitive": _parse_stipulation,
     "states": _parse_problem,
@@ -161,14 +161,30 @@ _LAYOUT_PARSERS = {
     "covers": _parse_cover_list,
 }
 
+# The keys each layout may carry, by the key that names it.  A universe
+# document also reads what ``class``, ``classes`` and ``class-report`` write
+# as JSON, so their output can name the universe of a later command.
+_LAYOUT_KEYS = {
+    "sensitive": frozenset({"sensitive", "max_resolution"}),
+    "states": frozenset({"states", "actions", "transition", "initial", "goal"}),
+    "readings": frozenset({"universe", "readings"}),
+    "cover": frozenset({"universe", "cover", "labels"}),
+    "covers": frozenset({"universe", "covers", "count"}),
+    "universe": frozenset(
+        {"universe", "representative", "closure", "count", "classes", "compliant",
+         "non_compliant", "witness"}
+    ),
+}
+
 
 def parse_document(text: str):
     """Parse a JSON document into its domain value.
 
     Recognizes universe, cover, cover-list, sensor-map, planning-problem,
     and stipulation layouts.  Shape violations, including a document that
-    names more than one layout, raise ``SchemaError`` with a JSON path;
-    semantic violations come from the value constructors.
+    names more than one layout or carries a key its layout does not know,
+    raise ``SchemaError`` with a JSON path; semantic violations come from
+    the value constructors.
     """
     try:
         doc = json.loads(text)
@@ -181,11 +197,14 @@ def parse_document(text: str):
     keys = [k for k in _LAYOUT_PARSERS if k in doc]
     if len(keys) > 1:
         raise SchemaError("$", f"ambiguous document layout: keys {', '.join(keys)}")
-    if keys:
-        return _LAYOUT_PARSERS[keys[0]](doc)
-    if "universe" in doc:
-        return _universe_of(doc)
-    raise SchemaError("$", "unrecognized document layout")
+    layout = keys[0] if keys else "universe"
+    if layout not in doc:
+        raise SchemaError("$", "unrecognized document layout")
+    allowed = _LAYOUT_KEYS[layout]
+    for key in doc:
+        if key not in allowed:
+            raise SchemaError(f"$.{key}", "unknown key")
+    return _LAYOUT_PARSERS.get(layout, _universe_of)(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ value is exactly the set of beliefs from which this game is winnable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import _kernel
@@ -46,7 +46,8 @@ class PlanningProblem:
 
     ``transitions[a][s]`` is the successor-set bitmask of state ``s`` under
     action ``actions[a]`` and must be non-empty for every pair; model an
-    unavailable action as a self-loop or a sink.
+    unavailable action as a self-loop or a sink.  At least one action is
+    required.
     """
 
     universe: FeatureUniverse
@@ -60,6 +61,8 @@ class PlanningProblem:
         object.__setattr__(self, "transitions", tuple(tuple(row) for row in self.transitions))
         full = self.universe.full_mask
         n = self.universe.n
+        if not self.actions:
+            raise ValidationError("at least one action required")
         if len(set(self.actions)) != len(self.actions):
             raise ValidationError("duplicate action label")
         for a in self.actions:
@@ -85,6 +88,12 @@ class PlanningProblem:
                 raise ValidationError(f"{name} belief must be non-empty")
             if mask & ~full:
                 raise ValidationError(f"{name} belief not within universe")
+
+    @cached_property
+    def _tables(self):
+        """The kernel's per-problem tables: ``post`` and its predecessor index."""
+        post = _kernel.post_table(self.universe.n, self.transitions)
+        return post, _kernel.predecessor_index(self.universe.n, len(self.actions), post)
 
     @property
     def initial_states(self) -> Belief:
@@ -168,27 +177,9 @@ def _check_pair(p: PlanningProblem, c: Cover) -> None:
         )
 
 
-@lru_cache(maxsize=64)
-def _post_list(p: PlanningProblem) -> list[int]:
-    """``post[b * len(actions) + a]``: belief reached from ``b`` by action ``a``."""
-    n = p.universe.n
-    acount = len(p.actions)
-    post = [0] * ((1 << n) * acount)
-    trans = p.transitions
-    for b in range(1, 1 << n):
-        low = b & -b
-        s = low.bit_length() - 1
-        rest_base = (b ^ low) * acount
-        base = b * acount
-        for a in range(acount):
-            post[base + a] = post[rest_base + a] | trans[a][s]
-    return post
-
-
-def _ranks(p: PlanningProblem, c: Cover) -> list[int]:
-    return _kernel.rank_table(
-        p.universe.n, p.goal, list(c.masks), len(p.actions), _post_list(p)
-    )
+def _ranks(p: PlanningProblem, c: Cover, until: int = 0) -> list[int]:
+    post, index = p._tables
+    return _kernel.rank_table(p.universe.n, p.goal, c.masks, len(p.actions), post, index, until)
 
 
 def winning_beliefs(p: PlanningProblem, c: Cover) -> set[Belief]:
@@ -204,7 +195,7 @@ def winning_beliefs(p: PlanningProblem, c: Cover) -> set[Belief]:
 def solvable(p: PlanningProblem, c: Cover) -> bool:
     """True iff the initial belief is winning under ``c``."""
     _check_pair(p, c)
-    return _ranks(p, c)[p.initial] >= 0
+    return _ranks(p, c, until=p.initial)[p.initial] >= 0
 
 
 def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
@@ -220,7 +211,7 @@ def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
     if ranks[p.initial] < 0:
         raise UnsolvableError("no guaranteed plan under this cover")
     acount = len(p.actions)
-    post = _post_list(p)
+    post = p._tables[0]
     goal = p.goal
     labels_of = p.universe.labels_of
 
@@ -280,7 +271,7 @@ def find_policy_counterexample(
             raise ValidationError(f"policy uses unknown action {a!r}") from None
         amap[mask_of(b)] = a_idx
     acount = len(p.actions)
-    post = _post_list(p)
+    post = p._tables[0]
     goal = p.goal
 
     def belief(mask: int) -> Belief:

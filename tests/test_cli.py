@@ -120,6 +120,45 @@ class TestValidate:
         assert err.startswith("error: $: ambiguous document layout")
         assert "Traceback" not in err
 
+    def test_unknown_key_is_usage_class(self, capsys, files):
+        path = files("extra.json", {"universe": ["1", "2"], "cover": [["1", "2"]], "bogus": 1})
+        status, out, err = invoke(capsys, "validate", "--input", path)
+        assert status == 2
+        assert out == ""
+        assert err == "error: $.bogus: unknown key\n"
+
+    def test_problem_without_actions_is_domain_error(self, capsys, files):
+        doc = {"states": ["1", "2"], "actions": [], "transition": {}, "initial": ["1"], "goal": ["2"]}
+        status, out, err = invoke(capsys, "validate", "--input", files("idle.json", doc))
+        assert status == 1
+        assert out == ""
+        assert err == "error: at least one action required\n"
+
+    def test_written_documents_validate(self, capsys, files, tmp_path, junction_doc, gps_map):
+        # Every JSON document the CLI writes that names a layout reads back.
+        cov = files("c.json", cover_doc("123", "12", "23"))
+        stip = files("s.json", {"sensitive": ["1"], "max_resolution": 1})
+        u3 = files("u.json", {"universe": ["1", "2", "3"]})
+        runs = [
+            ("invert", gps_map),
+            ("star", cov),
+            ("meet", cov, "--input", cov),
+            ("join", cov, "--input", cov),
+            ("class", cov),
+            ("members", cov),
+            ("enumerate", u3),
+            ("classes", u3),
+            ("partitions", u3),
+            ("search-sensors", junction_doc),
+            ("class-report", cov, "--input", stip),
+        ]
+        for i, (command, first, *rest) in enumerate(runs):
+            out = tmp_path / f"out{i}.json"
+            argv = [command, "--input", first, *rest, "--format", "json", "--out", str(out)]
+            assert invoke(capsys, *argv)[0] == 0, command
+            status, text, err = invoke(capsys, "validate", "--input", str(out))
+            assert status == 0 and text.startswith("ok: "), (command, err)
+
 
 class TestCoverOps:
     def test_invert_gps(self, capsys, gps_map):
@@ -400,13 +439,20 @@ class TestEntryPoints:
         assert status == 2 and out == ""
 
     def test_module_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import cover_lattice
+
+        # The child imports the package from where this test imported it.
+        src = os.path.dirname(os.path.dirname(cover_lattice.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cover_lattice", "enumerate", "--max-n", "3"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout == "109\n"

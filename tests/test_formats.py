@@ -66,6 +66,25 @@ class TestParse:
         assert "sensitive, states" in str(excinfo.value)
         assert excinfo.value.path == "$"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"universe":["1","2"],"cover":[["1","2"]],"bogus":1}',
+            '{"universe":["1","2"],"cover":[["1","2"]],"label":["x"]}',
+            '{"universe":["1"],"covers":[[["1"]]],"labels":["x"]}',
+            '{"universe":["1"],"readings":{"r":["1"]},"bogus":1}',
+            '{"sensitive":["1"],"max_resolution":1,"bogus":1}',
+            '{"states":["1"],"actions":["a"],"transition":{"1":{"a":["1"]}},'
+            '"initial":["1"],"goal":["1"],"bogus":1}',
+            '{"universe":["1"],"bogus":1}',
+        ],
+    )
+    def test_unknown_key(self, doc):
+        with pytest.raises(SchemaError, match="unknown key") as excinfo:
+            parse_document(doc)
+        key = next(k for k in json.loads(doc) if k in ("bogus", "label", "labels"))
+        assert excinfo.value.path == f"$.{key}"
+
     def test_universe_document(self):
         u = parse_document('{"universe":["a","b"]}')
         assert isinstance(u, FeatureUniverse)

@@ -53,14 +53,14 @@ class TestProblemConstruction:
         with pytest.raises(ValidationError, match="goal"):
             PlanningProblem(u2, ("a",), ((1, 2),), 1, 0)
 
-    def test_no_actions_allowed(self, u3):
-        p = PlanningProblem(u3, (), (), 1, 4)
-        assert p.actions == ()
+    def test_no_actions_rejected(self, u3):
+        with pytest.raises(ValidationError, match="at least one action required"):
+            PlanningProblem(u3, (), (), 1, 4)
 
 
 class TestWinningBeliefs:
-    def test_no_actions_only_goal_beliefs_win(self, u3):
-        p = PlanningProblem(u3, (), (), 1, 4)
+    def test_idle_action_only_goal_beliefs_win(self, u3):
+        p = PlanningProblem(u3, ("stay",), ((1, 2, 4),), 1, 4)
         assert winning_beliefs(p, C(u3, "123")) == {B("3")}
 
     def test_right_march_blind_all_beliefs_win(self, right_march, u3):

@@ -5,6 +5,8 @@ re-derived with ``itertools`` over frozensets, solvability with a top-down
 AND-OR path search, counts with closed-form formulas.  The one exception is
 ``exhaustive_maximal_solvable_covers``: it uses the package's enumeration
 and kernel, but ranks every cover rather than one cover per star class.
+``sweep_rank_table`` is the level-sweep fixpoint the package's worklist
+kernel replaced, kept as that kernel's full-table oracle.
 """
 
 from __future__ import annotations
@@ -100,6 +102,34 @@ def random_problem(universe, seed: int, n_actions: int = 2) -> PlanningProblem:
     return PlanningProblem(universe, actions, transitions, rng.randint(1, full), rng.randint(1, full))
 
 
+def corridor_problem(universe, goal_right: bool = True) -> PlanningProblem:
+    """Deterministic left/right corridor started everywhere; the goal is one end.
+
+    Every rank from 0 to n - 1 occurs, so sweeps run the full depth.
+    """
+    n = universe.n
+    left = tuple(1 << max(i - 1, 0) for i in range(n))
+    right = tuple(1 << min(i + 1, n - 1) for i in range(n))
+    goal = 1 << (n - 1) if goal_right else 1
+    return PlanningProblem(universe, ("left", "right"), (left, right), universe.full_mask, goal)
+
+
+def sparse_problem(universe, seed: int) -> PlanningProblem:
+    """One or two successors per state and action, a goal of one or two states."""
+    rng = random.Random(seed)
+    n = universe.n
+    actions = tuple(f"a{i}" for i in range(2 + seed % 2))
+
+    def succ() -> int:
+        m = 1 << rng.randrange(n)
+        return m | 1 << rng.randrange(n) if rng.random() < 0.3 else m
+
+    transitions = tuple(tuple(succ() for _ in range(n)) for _ in actions)
+    goal = sum(1 << s for s in rng.sample(range(n), rng.choice((1, 2))))
+    initial = sum(1 << s for s in rng.sample(range(n), rng.randint(2, 4)))
+    return PlanningProblem(universe, actions, transitions, initial, goal)
+
+
 def andor_solvable(problem: PlanningProblem, cover: Cover) -> bool:
     """Top-down AND-OR search over execution paths with visited-set pruning.
 
@@ -143,3 +173,47 @@ def andor_solvable(problem: PlanningProblem, cover: Cover) -> bool:
         return result
 
     return win(problem.initial, frozenset())
+
+
+def sweep_rank_table(n, goal_mask, preimage_masks, n_actions, post):
+    """Steps-to-goal rank for every belief bitmask in ``range(1 << n)``.
+
+    ``post[b * n_actions + a]`` is the belief reached from post-sensing
+    belief ``b`` under action ``a``, with nondeterminism folded into the
+    union.  Rank 0 marks beliefs inside the goal and -1 marks beliefs from
+    which the goal cannot be guaranteed.  Sweep ``k`` admits a belief when
+    every intersecting reading leaves some action into a belief ranked
+    strictly below ``k``, so ranks equal the fixpoint level and strictly
+    decrease along every adversarial execution branch.
+    """
+    size = 1 << n
+    not_goal = ~goal_mask
+    rank = [-1] * size
+    for b in range(1, size):
+        if not b & not_goal:
+            rank[b] = 0
+    pres = list(preimage_masks)
+    actions = range(n_actions)
+    k = 0
+    changed = True
+    while changed:
+        changed = False
+        k += 1
+        for b in range(1, size):
+            if rank[b] >= 0:
+                continue
+            for r in pres:
+                br = b & r
+                if not br:
+                    continue
+                base = br * n_actions
+                for a in actions:
+                    rs = rank[post[base + a]]
+                    if 0 <= rs < k:
+                        break
+                else:
+                    break  # this reading has no safe action: b stays unranked
+            else:
+                rank[b] = k
+                changed = True
+    return rank
