@@ -79,24 +79,24 @@ def predecessor_index(n, n_actions, post):
     return start, preds
 
 
-def rank_table(n, goal_mask, preimage_masks, n_actions, post, index=None, until=0):
+def rank_table(n, goal_mask, preimage_masks, n_actions, post, index, until=0):
     """Steps-to-goal rank for every belief bitmask in ``range(1 << n)``.
 
     The readings' pre-images ``preimage_masks`` cover the ``n`` states.
     ``post[b * n_actions + a]`` is the belief reached from post-sensing
     belief ``b`` under action ``a``, with nondeterminism folded into the
-    union; ``index`` is ``predecessor_index(n, n_actions, post)`` and is
-    built here when not given.  Rank 0 marks beliefs inside the goal and -1
-    marks beliefs from which the goal cannot be guaranteed.  A belief of
-    rank ``k > 0`` has, for every intersecting reading, an action into a
-    belief ranked strictly below ``k``, so ranks strictly decrease along
-    every adversarial execution branch.
+    union; ``index`` is ``predecessor_index(n, n_actions, post)``.  Rank 0
+    marks beliefs inside the goal and -1 marks beliefs from which the goal
+    cannot be guaranteed.  A belief of rank ``k > 0`` has, for every
+    intersecting reading, an action into a belief ranked strictly below
+    ``k``, so ranks strictly decrease along every adversarial execution
+    branch.
 
     When ``until`` names a belief, the call returns as soon as that belief
     is ranked; entries not yet reached then read -1.  The default, 0, is
     never ranked, so every belief is.
     """
-    start, preds = predecessor_index(n, n_actions, post) if index is None else index
+    start, preds = index
     size = 1 << n
     full = size - 1
     m = len(preimage_masks)

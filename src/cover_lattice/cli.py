@@ -16,6 +16,9 @@ from .core import Cover, FeatureUniverse, SensorMap, invert_sensor_map, make_uni
 from .enumeration import all_classes, all_covers, all_partitions, hasse_edges
 from .errors import CoverLatticeError, SchemaError
 from .formats import (
+    class_doc,
+    class_report_doc,
+    classes_doc,
     cover_text,
     covers_doc,
     export_dot,
@@ -232,12 +235,7 @@ def _cmd_class(args, docs):
     _no_dot(args)
     sc = star_class(_one_cover(docs))
     if args.format == "json":
-        doc = {
-            "universe": list(sc.representative.universe.labels),
-            "representative": [list(t) for t in sc.representative.sets()],
-            "closure": [list(t) for t in sc.closure.sets()],
-        }
-        return json_text(doc), EXIT_OK
+        return json_text(class_doc(sc)), EXIT_OK
     return (
         f"representative: {cover_text(sc.representative)}\n"
         f"closure: {cover_text(sc.closure)}\n"
@@ -281,18 +279,7 @@ def _cmd_classes(args, docs):
         key=lambda sc: sc.representative.canonical_key,
     )
     if args.format == "json":
-        doc = {
-            "universe": list(universe.labels),
-            "count": len(classes),
-            "classes": [
-                {
-                    "representative": [list(t) for t in sc.representative.sets()],
-                    "closure": [list(t) for t in sc.closure.sets()],
-                }
-                for sc in classes
-            ],
-        }
-        return json_text(doc), EXIT_OK
+        return json_text(classes_doc(universe, classes)), EXIT_OK
     return f"{len(classes)}\n", EXIT_OK
 
 
@@ -374,18 +361,7 @@ def _cmd_class_report(args, docs):
     stip = _pick(docs, Stipulation, "stipulation")
     report = class_compliance_report(cover, stip)
     if args.format == "json":
-        doc = {
-            "universe": list(cover.universe.labels),
-            "compliant": [[list(t) for t in m.sets()] for m in report.compliant],
-            "non_compliant": [[list(t) for t in m.sets()] for m in report.non_compliant],
-            "witness": None
-            if report.witness is None
-            else {
-                "compliant": [list(t) for t in report.witness[0].sets()],
-                "non_compliant": [list(t) for t in report.witness[1].sets()],
-            },
-        }
-        return json_text(doc), EXIT_OK
+        return json_text(class_report_doc(cover.universe, report)), EXIT_OK
     lines = [
         f"compliant: {len(report.compliant)}",
         f"non-compliant: {len(report.non_compliant)}",

@@ -13,10 +13,14 @@ from typing import Any, Iterable, Sequence
 from .core import Cover, FeatureUniverse, Preimage, SensorMap
 from .errors import SchemaError
 from .planning import PlanningProblem, Policy, make_problem
-from .stipulations import Stipulation
+from .star import StarClass
+from .stipulations import ComplianceReport, Stipulation
 
 __all__ = [
     "belief_text",
+    "class_doc",
+    "class_report_doc",
+    "classes_doc",
     "cover_text",
     "covers_doc",
     "export_dot",
@@ -162,8 +166,9 @@ _LAYOUT_PARSERS = {
 }
 
 # The keys each layout may carry, by the key that names it.  A universe
-# document also reads what ``class``, ``classes`` and ``class-report`` write
-# as JSON, so their output can name the universe of a later command.
+# document also carries the keys of ``class_doc``, ``classes_doc`` and
+# ``class_report_doc`` below, so their output can name the universe of a
+# later command.
 _LAYOUT_KEYS = {
     "sensitive": frozenset({"sensitive", "max_resolution"}),
     "states": frozenset({"states", "actions", "transition", "initial", "goal"}),
@@ -230,6 +235,40 @@ def covers_doc(universe: FeatureUniverse, covers: Sequence[Cover]) -> dict:
         "universe": list(universe.labels),
         "count": len(covers),
         "covers": [_cover_arrays(c) for c in covers],
+    }
+
+
+def _class_body(sc: StarClass) -> dict:
+    return {
+        "representative": _cover_arrays(sc.representative),
+        "closure": _cover_arrays(sc.closure),
+    }
+
+
+def class_doc(sc: StarClass) -> dict:
+    """One star class; reads back as its universe."""
+    return {"universe": list(sc.representative.universe.labels), **_class_body(sc)}
+
+
+def classes_doc(universe: FeatureUniverse, classes: Sequence[StarClass]) -> dict:
+    """The star classes of a universe; reads back as the universe."""
+    return {
+        "universe": list(universe.labels),
+        "count": len(classes),
+        "classes": [_class_body(sc) for sc in classes],
+    }
+
+
+def class_report_doc(universe: FeatureUniverse, report: ComplianceReport) -> dict:
+    """A class's compliance split and mixed-class witness; reads back as its universe."""
+    witness = report.witness
+    return {
+        "universe": list(universe.labels),
+        "compliant": [_cover_arrays(m) for m in report.compliant],
+        "non_compliant": [_cover_arrays(m) for m in report.non_compliant],
+        "witness": None
+        if witness is None
+        else {"compliant": _cover_arrays(witness[0]), "non_compliant": _cover_arrays(witness[1])},
     }
 
 

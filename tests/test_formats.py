@@ -185,6 +185,20 @@ class TestRoundTrip:
         assert parse_document(text) == tuple(seq)
         assert serialize_document(list(parse_document(text))) == text
 
+    def test_class_documents_read_back_as_universe(self, u3):
+        from cover_lattice import all_classes, class_compliance_report, star_class
+        from cover_lattice.formats import class_doc, class_report_doc, classes_doc, json_text
+
+        cover = C(u3, "12", "123")
+        report = class_compliance_report(cover, Stipulation(frozenset({"1", "2"}), 2))
+        docs = [
+            class_doc(star_class(cover)),
+            classes_doc(u3, all_classes(u3)),
+            class_report_doc(u3, report),
+        ]
+        for doc in docs:
+            assert parse_document(json_text(doc)) == u3
+
 
 class TestText:
     def test_cover_text(self, u3):

@@ -137,13 +137,6 @@ def test_index_inverts_post(workload):
             assert list(preds[start[x] : start[x + 1]]) == want
 
 
-def test_index_is_built_when_omitted(workload):
-    p, masks = workload[-1]
-    post, index = p._tables
-    args = (p.universe.n, p.goal, masks, len(p.actions), post)
-    assert rank_table(*args) == rank_table(*args, index)
-
-
 def test_no_action_world():
     ranks = rank_table(3, 4, [7], 0, [], predecessor_index(3, 0, []))
     assert ranks == [-1, -1, -1, -1, 0, -1, -1, -1]
