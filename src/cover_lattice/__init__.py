@@ -24,6 +24,7 @@ from .enumeration import (
     all_covers,
     all_partitions,
     canonical_masks,
+    cover_count,
     hasse_edges,
     iter_antichain_covers,
     iter_covers,
@@ -112,6 +113,7 @@ __all__ = [
     "class_members",
     "compare",
     "complies",
+    "cover_count",
     "cover_text",
     "export_dot",
     "extract_policy",

@@ -24,7 +24,9 @@ O(depth * 2^n * m * A) for the sweeps.
 
 Because ranks are assigned in non-decreasing order, a belief's entry is
 final the moment it is set.  ``until`` uses this: the call returns as soon
-as that belief is ranked, and every entry set by then is exact.
+as that belief is ranked, and every entry set by then is exact.  ``solvable``
+and ``extract_policy`` stop at the initial belief; ``winning_beliefs`` ranks
+every belief.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .core import Cover, FeatureUniverse, SensorMap, invert_sensor_map, make_universe
-from .enumeration import all_classes, all_covers, all_partitions, hasse_edges
+from .enumeration import all_classes, all_covers, all_partitions, cover_count, hasse_edges
 from .errors import CoverLatticeError, SchemaError
 from .formats import (
     class_doc,
@@ -265,10 +265,10 @@ def _cmd_proceeds(args, docs):
 def _cmd_enumerate(args, docs):
     _no_dot(args)
     universe = _universe_arg(docs, args)
-    covers = all_covers(universe, limit=_effective_max_n(args))
+    limit = _effective_max_n(args)
     if args.format == "json":
-        return json_text(covers_doc(universe, list(covers))), EXIT_OK
-    return f"{len(covers)}\n", EXIT_OK
+        return json_text(covers_doc(universe, list(all_covers(universe, limit=limit)))), EXIT_OK
+    return f"{cover_count(universe, limit=limit)}\n", EXIT_OK
 
 
 def _cmd_classes(args, docs):

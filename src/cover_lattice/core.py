@@ -3,7 +3,9 @@
 A sensor over a finite feature set is identified with the cover formed by
 the pre-images of its readings.  Feature subsets are bitmasks over the
 universe's fixed label order, which keeps every derived structure
-deterministic and cheap to compare.
+deterministic and cheap to compare.  ``FeatureUniverse.labels_of`` and
+``FeatureUniverse.belief_of`` turn a bitmask back into labels, as a tuple in
+index order and as a frozenset, from per-byte lookup tables.
 """
 
 from __future__ import annotations
@@ -48,9 +50,14 @@ class FeatureUniverse:
 
     The label order is fixed at construction and defines the bit layout
     used by every subset in the package: feature ``labels[i]`` is bit ``i``.
+    ``labels_of(mask)`` and ``belief_of(mask)`` give a subset's labels as a
+    tuple in index order and as a frozenset.  Both read one lookup table per
+    byte of the mask, ceil(n/8) tables of at most 256 entries each, built on
+    first use: a subset of up to 16 features costs two lookups and one tuple
+    concatenation or frozenset union, not a walk over its bits.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "_byte_labels", "_byte_beliefs")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -65,6 +72,8 @@ class FeatureUniverse:
             index[label] = pos
         self.labels = labels
         self._index = index
+        self._byte_labels = None
+        self._byte_beliefs = None
 
     @property
     def n(self) -> int:
@@ -87,7 +96,42 @@ class FeatureUniverse:
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in bits(mask))
+        """The labels of the features in ``mask``, in index order."""
+        tables = self._byte_labels or self._build_byte_labels()
+        out = tables[0][mask & 0xFF]
+        i = 0
+        while mask := mask >> 8:
+            i += 1
+            out += tables[i][mask & 0xFF]
+        return out
+
+    def belief_of(self, mask: int) -> frozenset[str]:
+        """The labels of the features in ``mask``, as a frozenset."""
+        tables = self._byte_beliefs or self._build_byte_beliefs()
+        belief = tables[0][mask & 0xFF]
+        i = 0
+        while mask := mask >> 8:
+            i += 1
+            belief = belief | tables[i][mask & 0xFF]
+        return belief
+
+    def _build_byte_labels(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        # Table j maps byte j of a mask to the labels of its set bits; the top
+        # table is short when n is not a multiple of 8, so a bit outside the
+        # universe raises IndexError.
+        tables = []
+        for lo in range(0, len(self.labels), 8):
+            table = [()]
+            for label in self.labels[lo : lo + 8]:
+                table += [t + (label,) for t in table]
+            tables.append(tuple(table))
+        self._byte_labels = tuple(tables)
+        return self._byte_labels
+
+    def _build_byte_beliefs(self) -> tuple[tuple[frozenset[str], ...], ...]:
+        tables = self._byte_labels or self._build_byte_labels()
+        self._byte_beliefs = tuple(tuple(map(frozenset, t)) for t in tables)
+        return self._byte_beliefs
 
     def __eq__(self, other):
         return isinstance(other, FeatureUniverse) and self.labels == other.labels

@@ -8,6 +8,7 @@ keep the candidate counts in the tens of thousands.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .core import Cover, FeatureUniverse, bits, preimage_key
@@ -20,12 +21,16 @@ __all__ = [
     "all_covers",
     "all_partitions",
     "canonical_masks",
+    "cover_count",
     "hasse_edges",
     "iter_antichain_covers",
     "iter_covers",
 ]
 
 COVER_ENUM_LIMIT = 4
+# A count over n features has 2**n - 1 bits: 2,466 decimal digits at n = 13,
+# 4,932 at n = 14, past the 4,300 digits Python converts to str by default.
+COUNT_LIMIT = 13
 CLASS_ENUM_LIMIT = 4
 PARTITION_ENUM_LIMIT = 8
 
@@ -87,14 +92,37 @@ def iter_antichain_covers(universe: FeatureUniverse) -> Iterator[Cover]:
     yield from rec(list(canonical_masks(universe)), 0)
 
 
-def all_covers(universe: FeatureUniverse, *, limit: int | None = None) -> tuple[Cover, ...]:
-    """Materialize every valid cover in canonical order (guarded)."""
+def _check_cover_bound(universe: FeatureUniverse, limit: int | None) -> None:
     bound = COVER_ENUM_LIMIT if limit is None else limit
     if universe.n > bound:
         raise SizeGuardError(
             f"cover enumeration limited to {bound} features (got {universe.n})"
         )
+
+
+def all_covers(universe: FeatureUniverse, *, limit: int | None = None) -> tuple[Cover, ...]:
+    """Materialize every valid cover in canonical order (guarded)."""
+    _check_cover_bound(universe, limit)
     return tuple(iter_covers(universe, unbounded=True))
+
+
+def cover_count(universe: FeatureUniverse, *, limit: int | None = None) -> int:
+    """Number of valid covers, by inclusion-exclusion over uncovered features.
+
+    The collections of non-empty subsets that miss ``k`` given features
+    number ``2**(2**(n - k) - 1)``, so no cover is built.  Guarded like
+    ``all_covers``, so a count is given for exactly the universes whose
+    covers can be listed, and refused past ``COUNT_LIMIT`` features whatever
+    the limit, because the count would no longer print.
+    """
+    _check_cover_bound(universe, limit)
+    n = universe.n
+    if n > COUNT_LIMIT:
+        raise SizeGuardError(
+            f"cover count limited to {COUNT_LIMIT} features (got {n}): "
+            "larger counts run past 4,300 decimal digits"
+        )
+    return sum((-1) ** k * comb(n, k) * 2 ** (2 ** (n - k) - 1) for k in range(n + 1))
 
 
 def all_classes(universe: FeatureUniverse, *, limit: int | None = None) -> set[StarClass]:

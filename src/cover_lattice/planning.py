@@ -97,11 +97,11 @@ class PlanningProblem:
 
     @property
     def initial_states(self) -> Belief:
-        return frozenset(self.universe.labels_of(self.initial))
+        return self.universe.belief_of(self.initial)
 
     @property
     def goal_states(self) -> Belief:
-        return frozenset(self.universe.labels_of(self.goal))
+        return self.universe.belief_of(self.goal)
 
 
 def make_problem(
@@ -186,10 +186,8 @@ def winning_beliefs(p: PlanningProblem, c: Cover) -> set[Belief]:
     """Beliefs from which some policy guarantees reaching the goal under ``c``."""
     _check_pair(p, c)
     ranks = _ranks(p, c)
-    labels_of = p.universe.labels_of
-    return {
-        frozenset(labels_of(b)) for b in range(1, 1 << p.universe.n) if ranks[b] >= 0
-    }
+    belief_of = p.universe.belief_of
+    return {belief_of(b) for b in range(1, 1 << p.universe.n) if ranks[b] >= 0}
 
 
 def solvable(p: PlanningProblem, c: Cover) -> bool:
@@ -205,19 +203,20 @@ def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
     is chosen, ties broken by action order, so ranks strictly decrease
     along every adversarial branch.  Raises ``UnsolvableError`` when the
     initial belief is not winning.
+
+    Ranking stops once the initial belief is ranked, at some ``k``.  That
+    is exact: every entry below ``k`` is final by then, an entry not yet set
+    ranks at least ``k``, and every belief the policy reaches after the
+    initial one, like the best successor at each choice, ranks below ``k``.
     """
     _check_pair(p, c)
-    ranks = _ranks(p, c)
+    ranks = _ranks(p, c, until=p.initial)
     if ranks[p.initial] < 0:
         raise UnsolvableError("no guaranteed plan under this cover")
     acount = len(p.actions)
     post = p._tables[0]
     goal = p.goal
-    labels_of = p.universe.labels_of
-
-    def belief(mask: int) -> Belief:
-        return frozenset(labels_of(mask))
-
+    belief = p.universe.belief_of
     chosen: dict[int, int] = {}
     action_of: dict[Belief, str] = {}
     rank_of: dict[Belief, int] = {belief(p.initial): ranks[p.initial]}
@@ -262,7 +261,7 @@ def find_policy_counterexample(
     """
     _check_pair(p, c)
     mask_of = p.universe.mask_of
-    labels_of = p.universe.labels_of
+    belief = p.universe.belief_of
     amap: dict[int, int] = {}
     for b, a in pol.action_of.items():
         try:
@@ -273,9 +272,6 @@ def find_policy_counterexample(
     acount = len(p.actions)
     post = p._tables[0]
     goal = p.goal
-
-    def belief(mask: int) -> Belief:
-        return frozenset(labels_of(mask))
 
     def make_frame(b: int) -> list:
         return [b, [(r, b & r) for r in c.masks if b & r], 0]

@@ -4,6 +4,8 @@ import pytest
 
 from cover_lattice import run_cli
 
+from util import cover_count_formula
+
 
 def invoke(capsys, *argv):
     status = run_cli(list(argv))
@@ -258,6 +260,17 @@ class TestEnumeration:
         monkeypatch.setenv("COVER_LATTICE_MAX_N", "2")
         status, out, _ = invoke(capsys, "enumerate")
         assert status == 0 and out == "5\n"
+
+    def test_enumerate_text_counts_without_listing(self, capsys):
+        status, out, _ = invoke(capsys, "enumerate", "--max-n", "5")
+        assert status == 0 and out == "2147321017\n"
+        status, out, _ = invoke(capsys, "enumerate", "--max-n", "13")
+        assert status == 0 and out == f"{cover_count_formula(13)}\n"
+
+    def test_enumerate_unprintable_count_is_domain_error(self, capsys):
+        status, out, err = invoke(capsys, "enumerate", "--max-n", "14")
+        assert status == 1 and out == ""
+        assert err.startswith("error: cover count limited to 13 features")
 
     def test_enumerate_bound_exceeded_is_domain_error(self, capsys, files):
         upath = files("u.json", {"universe": [str(i) for i in range(5)]})

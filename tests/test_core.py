@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cover_lattice import (
@@ -11,6 +13,44 @@ from cover_lattice import (
 )
 
 from util import C, as_family, brute_cover_families
+
+
+def assert_labels_match_bit_walk(u, masks):
+    for mask in masks:
+        want = tuple(label for i, label in enumerate(u.labels) if mask >> i & 1)
+        assert u.labels_of(mask) == want
+        assert u.belief_of(mask) == frozenset(want)
+
+
+class TestLabelTables:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_mask(self, n):
+        u = make_universe([f"f{i}" for i in range(n)])
+        assert_labels_match_bit_walk(u, range(1 << n))
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 24, 40])
+    def test_random_masks(self, n):
+        u = make_universe([f"f{i}" for i in range(n)])
+        rng = random.Random(n)
+        masks = [0, u.full_mask] + [rng.getrandbits(n) for _ in range(300)]
+        assert_labels_match_bit_walk(u, masks)
+
+    @pytest.mark.parametrize("n", [3, 8, 14])
+    def test_bit_outside_universe(self, n):
+        u = make_universe([f"f{i}" for i in range(n)])
+        with pytest.raises(IndexError):
+            u.labels_of(1 << n)
+        with pytest.raises(IndexError):
+            u.belief_of(1 << n)
+
+    def test_one_short_table_per_byte_built_on_first_use(self):
+        u = make_universe([f"f{i}" for i in range(17)])
+        assert u._byte_labels is None and u._byte_beliefs is None
+        u.labels_of(5)
+        assert u._byte_beliefs is None
+        u.belief_of(5)
+        assert [len(t) for t in u._byte_labels] == [256, 256, 2]
+        assert [len(t) for t in u._byte_beliefs] == [256, 256, 2]
 
 
 class TestMakeUniverse:

@@ -8,6 +8,7 @@ from cover_lattice import (
     all_covers,
     all_partitions,
     canonical_rep,
+    cover_count,
     hasse_edges,
     is_partition,
     iter_antichain_covers,
@@ -28,6 +29,20 @@ class TestAllCovers:
         u = make_universe([str(i + 1) for i in range(n)])
         covers = all_covers(u)
         assert len(covers) == count == cover_count_formula(n)
+
+    def test_count_matches_formula_and_enumeration(self):
+        for n in range(1, 14):
+            u = make_universe([str(i + 1) for i in range(n)])
+            assert cover_count(u, limit=n) == cover_count_formula(n)
+            if n <= 4:
+                assert cover_count(u) == len(all_covers(u))
+
+    def test_count_guards(self):
+        with pytest.raises(SizeGuardError, match="cover enumeration limited to 4"):
+            cover_count(make_universe([str(i) for i in range(5)]))
+        # past 13 features the count is refused whatever the limit
+        with pytest.raises(SizeGuardError, match="cover count limited to 13"):
+            cover_count(make_universe([str(i) for i in range(14)]), limit=14)
 
     def test_n1_single_cover(self, u1):
         assert all_covers(u1) == (C(u1, "1"),)

@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from cover_lattice import all_covers, iter_antichain_covers, make_cover, make_universe, solvable
+from cover_lattice import (
+    Cover,
+    UnsolvableError,
+    all_covers,
+    extract_policy,
+    iter_antichain_covers,
+    make_cover,
+    make_universe,
+    solvable,
+)
+from cover_lattice import planning
 from cover_lattice._kernel import predecessor_index, rank_table
 
 from util import corridor_problem, random_problem, sparse_problem, sweep_rank_table
@@ -126,6 +136,28 @@ def test_matches_sweep_oracle_on_deep_problems():
 
 def test_matches_sweep_oracle_on_every_antichain():
     _assert_matches_sweep(_antichain_workload())
+
+
+def _policy_items(p, cover):
+    try:
+        pol = extract_policy(p, cover)
+    except UnsolvableError:
+        return None
+    return list(pol.action_of.items()), list(pol.rank_of.items())
+
+
+def test_policy_from_early_stop_matches_full_table(workload, monkeypatch):
+    # extract_policy stops ranking at the initial belief; the policy, its
+    # ranks and their insertion order must equal those read off the full table.
+    cases = [
+        (p, Cover.from_masks(p.universe, masks))
+        for p, masks in workload + _large_workload() + _antichain_workload()
+    ]
+    early = [_policy_items(p, c) for p, c in cases]
+    full_ranks = planning._ranks
+    monkeypatch.setattr(planning, "_ranks", lambda p, c, until=0: full_ranks(p, c))
+    assert early == [_policy_items(p, c) for p, c in cases]
+    assert None in early and any(e is not None for e in early)
 
 
 def test_index_inverts_post(workload):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cover_lattice import (
@@ -22,7 +24,15 @@ from cover_lattice import (
     winning_beliefs,
 )
 
-from util import C, andor_solvable, exhaustive_maximal_solvable_covers, random_problem
+from util import (
+    C,
+    andor_solvable,
+    corridor_problem,
+    exhaustive_maximal_solvable_covers,
+    random_problem,
+    sparse_problem,
+    sweep_rank_table,
+)
 
 
 def B(*labels):
@@ -84,6 +94,25 @@ class TestWinningBeliefs:
     def test_universe_mismatch(self, junction, u3):
         with pytest.raises(UniverseMismatchError):
             winning_beliefs(junction, C(u3, "123"))
+
+    @pytest.mark.parametrize("n", [9, 12, 13, 14])
+    def test_matches_sweep_oracle_labels(self, n):
+        # The label sets equal the ones built from the sweep oracle's table
+        # one frozenset(labels_of(b)) at a time.
+        u = make_universe([str(i + 1) for i in range(n)])
+        rng = random.Random(n)
+        readings = {rng.randint(1, u.full_mask) for _ in range(3)}
+        rest = u.full_mask
+        for r in readings:
+            rest &= ~r
+        covers = ([1 << i for i in range(n)], [u.full_mask], sorted(readings | {rest} - {0}))
+        corridor = corridor_problem(u, goal_right=n % 2 == 0)
+        for p in (corridor, sparse_problem(u, n), sparse_problem(u, n + 1)):
+            post = list(p._tables[0])
+            for masks in covers:
+                ranks = sweep_rank_table(n, p.goal, masks, len(p.actions), post)
+                want = {frozenset(u.labels_of(b)) for b in range(1, 1 << n) if ranks[b] >= 0}
+                assert winning_beliefs(p, Cover.from_masks(u, masks)) == want
 
     def test_state_count_guard(self):
         u = make_universe([str(i) for i in range(17)])

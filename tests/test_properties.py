@@ -1,4 +1,4 @@
-"""Property-based checks of the algebraic laws on randomly drawn covers."""
+"""Property-based checks of the algebraic laws on randomly drawn covers, and of the label tables."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +17,7 @@ from cover_lattice import (
 )
 
 UNIVERSES = {n: make_universe([str(i + 1) for i in range(n)]) for n in range(1, 5)}
+WIDE_UNIVERSES = {n: make_universe([f"f{i}" for i in range(n)]) for n in range(1, 41)}
 
 
 @st.composite
@@ -46,6 +47,15 @@ def cover_pairs(draw):
         Cover.from_masks(u, draw(cover_masks(n))),
         Cover.from_masks(u, draw(cover_masks(n))),
     )
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_label_tables_match_bit_walk(case):
+    n, mask = case
+    u = WIDE_UNIVERSES[n]
+    want = tuple(label for i, label in enumerate(u.labels) if mask >> i & 1)
+    assert u.labels_of(mask) == want
+    assert u.belief_of(mask) == frozenset(want)
 
 
 @given(covers())
