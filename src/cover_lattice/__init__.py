@@ -12,7 +12,6 @@ from ._kernel import BACKEND as KERNEL_BACKEND
 from .core import (
     Cover,
     FeatureUniverse,
-    Preimage,
     RelationTag,
     SensorMap,
     invert_sensor_map,
@@ -92,7 +91,6 @@ __all__ = [
     "PlanningProblem",
     "Policy",
     "PolicyFailure",
-    "Preimage",
     "RelationTag",
     "SchemaError",
     "SensorMap",

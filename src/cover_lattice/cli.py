@@ -104,7 +104,7 @@ def _load_inputs(args) -> list:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {path}: {exc}") from None
         docs.append(parse_document(text))
     return docs
@@ -413,15 +413,20 @@ def run_cli(argv: Sequence[str]) -> int:
     except CoverLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            text.encode("utf-8")  # an unencodable label fails before the file is created
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+        else:
+            sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        print(f"error: cannot encode output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return status
 
 

@@ -1,17 +1,19 @@
-"""Universes, pre-images, covers, and sensor maps.
+"""Universes, covers, and sensor maps.
 
 A sensor over a finite feature set is identified with the cover formed by
 the pre-images of its readings.  Feature subsets are bitmasks over the
 universe's fixed label order, which keeps every derived structure
-deterministic and cheap to compare.  ``FeatureUniverse.labels_of`` and
+deterministic and cheap to compare.  A cover is its pre-image masks plus a
+map from mask to reading label for the pre-images whose reading is named;
+the names never take part in comparisons.  ``FeatureUniverse.labels_of`` and
 ``FeatureUniverse.belief_of`` turn a bitmask back into labels, as a tuple in
 index order and as a frozenset, from per-byte lookup tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -19,7 +21,6 @@ from .errors import ValidationError
 __all__ = [
     "Cover",
     "FeatureUniverse",
-    "Preimage",
     "RelationTag",
     "SensorMap",
     "bits",
@@ -143,59 +144,54 @@ class FeatureUniverse:
         return f"FeatureUniverse({list(self.labels)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Preimage:
-    """One reading's pre-image as a bitmask, with an optional reading label."""
-
-    mask: int
-    label: str | None = None
+_NO_LABELS: Mapping[int, str] = MappingProxyType({})
 
 
 class Cover:
-    """Distinct non-empty pre-images whose union is the whole universe.
+    """Distinct non-empty pre-image masks whose union is the whole universe.
 
-    Pre-images are stored in canonical order (cardinality, then feature
-    indices); equality and hashing ignore reading labels.
+    ``masks`` holds the pre-images in canonical order (cardinality, then
+    feature indices) and ``mask_set`` holds them as a frozenset.  ``labels``
+    is a read-only map from a pre-image mask to its reading label; it holds
+    only labelled pre-images, so it is empty when none is labelled, and a
+    label whose mask is not in the cover is dropped.  Equality and hashing
+    ignore labels.
     """
 
-    __slots__ = ("universe", "preimages", "masks", "mask_set", "_key", "_hash", "_closure")
+    __slots__ = ("universe", "masks", "mask_set", "labels", "_key", "_hash", "_closure")
 
-    def __init__(self, universe: FeatureUniverse, preimages: Iterable[Preimage]):
-        items = tuple(preimages)
-        full = universe.full_mask
-        seen: set[int] = set()
-        union = 0
-        for p in items:
-            if p.mask == 0:
-                raise ValidationError("empty pre-image")
-            if p.mask & ~full:
-                raise ValidationError("pre-image not within universe")
-            if p.mask in seen:
-                raise ValidationError(
-                    "duplicate pre-image set: {%s}" % ",".join(universe.labels_of(p.mask))
-                )
-            seen.add(p.mask)
-            union |= p.mask
-        if union != full:
-            missing = ", ".join(universe.labels_of(full & ~union))
-            raise ValidationError(f"uncovered feature(s): {missing}")
-        self.universe = universe
-        self.preimages = tuple(sorted(items, key=lambda p: preimage_key(p.mask)))
-        self.masks = tuple(p.mask for p in self.preimages)
-        self.mask_set = frozenset(seen)
-        self._key = None
-        self._hash = None
-        self._closure = None
-
-    @classmethod
-    def from_masks(
-        cls,
+    def __init__(
+        self,
         universe: FeatureUniverse,
         masks: Iterable[int],
         labels: Mapping[int, str] | None = None,
-    ) -> "Cover":
-        labels = labels or {}
-        return cls(universe, [Preimage(m, labels.get(m)) for m in masks])
+    ):
+        items = tuple(masks)
+        full = universe.full_mask
+        seen: set[int] = set()
+        union = 0
+        for m in items:
+            if m == 0:
+                raise ValidationError("empty pre-image")
+            if m & ~full:
+                raise ValidationError("pre-image not within universe")
+            if m in seen:
+                raise ValidationError(
+                    "duplicate pre-image set: {%s}" % ",".join(universe.labels_of(m))
+                )
+            seen.add(m)
+            union |= m
+        if union != full:
+            missing = ", ".join(universe.labels_of(full & ~union))
+            raise ValidationError(f"uncovered feature(s): {missing}")
+        kept = labels and {m: lab for m, lab in labels.items() if m in seen and lab is not None}
+        self.universe = universe
+        self.masks = tuple(sorted(items, key=preimage_key))
+        self.mask_set = frozenset(seen)
+        self.labels = MappingProxyType(kept) if kept else _NO_LABELS
+        self._key = None
+        self._hash = None
+        self._closure = None
 
     @classmethod
     def _from_canonical(cls, universe: FeatureUniverse, masks: tuple[int, ...]) -> "Cover":
@@ -203,9 +199,9 @@ class Cover:
         # covering, and in canonical order.
         c = cls.__new__(cls)
         c.universe = universe
-        c.preimages = tuple(Preimage(m) for m in masks)
         c.masks = masks
         c.mask_set = frozenset(masks)
+        c.labels = _NO_LABELS
         c._key = None
         c._hash = None
         c._closure = None
@@ -304,16 +300,13 @@ def make_cover(universe: FeatureUniverse, sets: Iterable[Iterable[str]]) -> Cove
     Raises ``ValidationError`` for an empty subset, an unknown label, or a
     union that misses part of the universe (the gap is reported by name).
     """
-    masks: list[int] = []
-    seen: set[int] = set()
+    masks: set[int] = set()
     for subset in sets:
         mask = universe.mask_of(subset)
         if mask == 0:
             raise ValidationError("empty pre-image")
-        if mask not in seen:
-            seen.add(mask)
-            masks.append(mask)
-    return Cover(universe, [Preimage(m) for m in masks])
+        masks.add(mask)
+    return Cover(universe, masks)
 
 
 def invert_sensor_map(m: SensorMap) -> Cover:
@@ -325,4 +318,4 @@ def invert_sensor_map(m: SensorMap) -> Cover:
     grouped: dict[int, list[str]] = {}
     for label, mask in m.readings.items():
         grouped.setdefault(mask, []).append(label)
-    return Cover(m.universe, [Preimage(mask, "+".join(labs)) for mask, labs in grouped.items()])
+    return Cover(m.universe, grouped, {mask: "+".join(labs) for mask, labs in grouped.items()})

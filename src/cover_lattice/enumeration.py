@@ -12,7 +12,13 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .core import Cover, FeatureUniverse, bits, preimage_key
-from .errors import CycleError, SizeGuardError, UniverseMismatchError, ValidationError
+from .errors import (
+    CycleError,
+    SizeGuardError,
+    UniverseMismatchError,
+    ValidationError,
+    guard_features,
+)
 from .order import subsumes
 from .star import StarClass, proceeds, star_closure, star_subsumes
 
@@ -92,17 +98,9 @@ def iter_antichain_covers(universe: FeatureUniverse) -> Iterator[Cover]:
     yield from rec(list(canonical_masks(universe)), 0)
 
 
-def _check_cover_bound(universe: FeatureUniverse, limit: int | None) -> None:
-    bound = COVER_ENUM_LIMIT if limit is None else limit
-    if universe.n > bound:
-        raise SizeGuardError(
-            f"cover enumeration limited to {bound} features (got {universe.n})"
-        )
-
-
 def all_covers(universe: FeatureUniverse, *, limit: int | None = None) -> tuple[Cover, ...]:
     """Materialize every valid cover in canonical order (guarded)."""
-    _check_cover_bound(universe, limit)
+    guard_features("cover enumeration", universe.n, limit, COVER_ENUM_LIMIT)
     return tuple(iter_covers(universe, unbounded=True))
 
 
@@ -115,7 +113,7 @@ def cover_count(universe: FeatureUniverse, *, limit: int | None = None) -> int:
     covers can be listed, and refused past ``COUNT_LIMIT`` features whatever
     the limit, because the count would no longer print.
     """
-    _check_cover_bound(universe, limit)
+    guard_features("cover enumeration", universe.n, limit, COVER_ENUM_LIMIT)
     n = universe.n
     if n > COUNT_LIMIT:
         raise SizeGuardError(
@@ -132,11 +130,7 @@ def all_classes(universe: FeatureUniverse, *, limit: int | None = None) -> set[S
     inclusion-maximal pre-images of any member: a covering antichain.  So
     the classes are exactly the covering antichains, one closure each.
     """
-    bound = CLASS_ENUM_LIMIT if limit is None else limit
-    if universe.n > bound:
-        raise SizeGuardError(
-            f"class enumeration limited to {bound} features (got {universe.n})"
-        )
+    guard_features("class enumeration", universe.n, limit, CLASS_ENUM_LIMIT)
     return {StarClass(rep, star_closure(rep)) for rep in iter_antichain_covers(universe)}
 
 
@@ -163,14 +157,8 @@ def _iter_index_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 def all_partitions(universe: FeatureUniverse, *, limit: int | None = None) -> tuple[Cover, ...]:
     """Every partition of the universe, as covers in canonical order."""
-    bound = PARTITION_ENUM_LIMIT if limit is None else limit
-    if universe.n > bound:
-        raise SizeGuardError(
-            f"partition enumeration limited to {bound} features (got {universe.n})"
-        )
-    parts = [
-        Cover.from_masks(universe, blocks) for blocks in _iter_index_partitions(universe.n)
-    ]
+    guard_features("partition enumeration", universe.n, limit, PARTITION_ENUM_LIMIT)
+    parts = [Cover(universe, blocks) for blocks in _iter_index_partitions(universe.n)]
     parts.sort(key=lambda c: c.canonical_key)
     return tuple(parts)
 

@@ -17,6 +17,14 @@ class SizeGuardError(CoverLatticeError):
     """A desk-scale bound was exceeded; raise the limit or use a streaming variant."""
 
 
+def guard_features(what: str, n: int, limit: int | None, default: int) -> int:
+    """The feature bound in force, ``limit`` or else ``default``; raise if ``n`` exceeds it."""
+    bound = default if limit is None else limit
+    if n > bound:
+        raise SizeGuardError(f"{what} limited to {bound} features (got {n})")
+    return bound
+
+
 class UnsolvableError(CoverLatticeError):
     """Plan extraction was requested for a problem/cover pair with no guaranteed plan."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Sequence
 
-from .core import Cover, FeatureUniverse, Preimage, SensorMap
+from .core import Cover, FeatureUniverse, SensorMap
 from .errors import SchemaError
 from .planning import PlanningProblem, Policy, make_problem
 from .star import StarClass
@@ -75,17 +75,14 @@ def _cover_body(universe: FeatureUniverse, arr, labels, path: str) -> Cover:
             _expect(
                 lab is None or isinstance(lab, str), f"$.labels[{i}]", "expected a string or null"
             )
-    merged: dict[int, str | None] = {}
-    order: list[int] = []
+    masks: set[int] = set()
+    named: dict[int, str] = {}
     for i, subset in enumerate(arr):
         mask = universe.mask_of(_string_array(subset, f"{path}[{i}]"))
-        label = labels[i] if labels is not None else None
-        if mask not in merged:
-            merged[mask] = label
-            order.append(mask)
-        elif merged[mask] is None:
-            merged[mask] = label
-    return Cover(universe, [Preimage(m, merged[m]) for m in order])
+        masks.add(mask)
+        if labels is not None and labels[i] is not None:
+            named.setdefault(mask, labels[i])
+    return Cover(universe, masks, named)
 
 
 def _parse_cover(doc: dict) -> Cover:
@@ -224,8 +221,8 @@ def _cover_doc(c: Cover) -> dict:
         "universe": list(c.universe.labels),
         "cover": _cover_arrays(c),
     }
-    if any(p.label is not None for p in c.preimages):
-        doc["labels"] = [p.label for p in c.preimages]
+    if c.labels:
+        doc["labels"] = [c.labels.get(m) for m in c.masks]
     return doc
 
 

@@ -49,21 +49,13 @@ def compare(a: Cover, b: Cover) -> RelationTag:
     return RelationTag.INCOMPARABLE
 
 
-def _merged_labels(a: Cover, b: Cover) -> dict[int, str]:
-    labels: dict[int, str] = {}
-    for p in b.preimages:
-        if p.label is not None:
-            labels[p.mask] = p.label
-    for p in a.preimages:
-        if p.label is not None:
-            labels[p.mask] = p.label
-    return labels
-
-
 def meet(a: Cover, b: Cover) -> Cover:
-    """Greatest lower bound: the union of the two pre-image collections."""
+    """Greatest lower bound: the union of the two pre-image collections.
+
+    A pre-image labelled in both covers keeps ``a``'s label.
+    """
     _check_universes(a, b)
-    return Cover.from_masks(a.universe, a.mask_set | b.mask_set, _merged_labels(a, b))
+    return Cover(a.universe, a.mask_set | b.mask_set, {**b.labels, **a.labels})
 
 
 def join(a: Cover, b: Cover) -> Cover | None:
@@ -71,7 +63,8 @@ def join(a: Cover, b: Cover) -> Cover | None:
 
     The intersection of the two collections is the only candidate; it is
     returned when it still covers the universe and ``None`` otherwise (the
-    subsumption order is only a meet-semilattice).
+    subsumption order is only a meet-semilattice).  Labels merge as in
+    ``meet``.
     """
     _check_universes(a, b)
     common = a.mask_set & b.mask_set
@@ -80,7 +73,7 @@ def join(a: Cover, b: Cover) -> Cover | None:
         union |= m
     if union != a.universe.full_mask:
         return None
-    return Cover.from_masks(a.universe, common, _merged_labels(a, b))
+    return Cover(a.universe, common, {**b.labels, **a.labels})
 
 
 def upper_covers(covers: Iterable[Cover]) -> set[Cover]:
@@ -120,27 +113,28 @@ def upper_covers(covers: Iterable[Cover]) -> set[Cover]:
 def iter_u_inflation(c: Cover) -> Iterator[Cover]:
     """Stream every valid cover whose pre-images are a sub-collection of ``c``'s.
 
-    Includes ``c`` itself.  Output size can reach ``2**len(c)``; this
-    streaming form carries no guard.
+    Includes ``c`` itself.  Each cover keeps the labels of the pre-images
+    it keeps.  Output size can reach ``2**len(c)``; this streaming form
+    carries no guard.
     """
-    pres = c.preimages
-    m = len(pres)
+    masks = c.masks
+    m = len(masks)
     full = c.universe.full_mask
-    universe = c.universe
+    universe, labels = c.universe, c.labels
     # suffix[i]: what positions i.. can still contribute, for pruning.
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | pres[i].mask
-    chosen: list = []
+        suffix[i] = suffix[i + 1] | masks[i]
+    chosen: list[int] = []
 
     def rec(i: int, union: int) -> Iterator[Cover]:
         if union | suffix[i] != full:
             return
         if i == m:
-            yield Cover(universe, tuple(chosen))
+            yield Cover(universe, chosen, labels)
             return
-        chosen.append(pres[i])
-        yield from rec(i + 1, union | pres[i].mask)
+        chosen.append(masks[i])
+        yield from rec(i + 1, union | masks[i])
         chosen.pop()
         yield from rec(i + 1, union)
 
@@ -149,9 +143,9 @@ def iter_u_inflation(c: Cover) -> Iterator[Cover]:
 
 def u_inflation(c: Cover, *, limit: int = U_INFLATION_LIMIT) -> set[Cover]:
     """Materialized u-inflation; refuses covers with more than ``limit`` pre-images."""
-    if len(c.preimages) > limit:
+    if len(c) > limit:
         raise SizeGuardError(
-            f"u-inflation of {len(c.preimages)} pre-images may produce "
-            f"2**{len(c.preimages)} covers; use iter_u_inflation to stream"
+            f"u-inflation of {len(c)} pre-images may produce "
+            f"2**{len(c)} covers; use iter_u_inflation to stream"
         )
     return set(iter_u_inflation(c))

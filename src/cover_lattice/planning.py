@@ -15,7 +15,13 @@ from typing import Iterable, Mapping
 
 from . import _kernel
 from .core import Cover, FeatureUniverse
-from .errors import SizeGuardError, UniverseMismatchError, UnsolvableError, ValidationError
+from .errors import (
+    SizeGuardError,
+    UniverseMismatchError,
+    UnsolvableError,
+    ValidationError,
+    guard_features,
+)
 from .order import upper_covers
 from .star import star_closure
 
@@ -332,10 +338,7 @@ def maximal_solvable_covers(p: PlanningProblem, *, limit: int | None = None) -> 
     representative.  Applying u-inflation to the result regenerates the
     full solvable set.
     """
-    n = p.universe.n
-    bound = SEARCH_LIMIT if limit is None else limit
-    if n > bound:
-        raise SizeGuardError(f"cover search limited to {bound} features (got {n})")
+    guard_features("cover search", p.universe.n, limit, SEARCH_LIMIT)
     from .enumeration import iter_antichain_covers
 
     return upper_covers(

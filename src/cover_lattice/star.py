@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Cover, FeatureUniverse, bits
-from .errors import SizeGuardError, ValidationError
+from .errors import SizeGuardError, ValidationError, guard_features
 from .order import _check_universes, meet
 
 __all__ = [
@@ -40,7 +40,8 @@ def star_closure(v: Cover, *, max_preimage_size: int = MAX_PREIMAGE_BITS) -> Cov
     """Downward closure: every non-empty subset of every pre-image of ``v``.
 
     Idempotent and extensive; guarded because a pre-image of size ``s``
-    contributes ``2**s - 1`` subsets.
+    contributes ``2**s - 1`` subsets.  Only ``v``'s own pre-images keep
+    their labels.
     """
     if v._closure is not None:
         return v._closure
@@ -51,15 +52,12 @@ def star_closure(v: Cover, *, max_preimage_size: int = MAX_PREIMAGE_BITS) -> Cov
             f"(limit {max_preimage_size})"
         )
     subsets: set[int] = set()
-    labels: dict[int, str] = {}
-    for p in v.preimages:
-        s = p.mask
+    for m in v.masks:
+        s = m
         while s:
             subsets.add(s)
-            s = (s - 1) & p.mask
-        if p.label is not None:
-            labels[p.mask] = p.label
-    closed = Cover.from_masks(v.universe, subsets, labels)
+            s = (s - 1) & m
+    closed = Cover(v.universe, subsets, v.labels)
     closed._closure = closed
     v._closure = closed
     return closed
@@ -75,17 +73,11 @@ def canonical_rep(c: Cover) -> Cover:
     """The inclusion-maximal pre-images of ``c``.
 
     This antichain is star-equivalent to ``c`` and is the unique smallest
-    member of its star-equivalence class.
+    member of its star-equivalence class; its pre-images keep their labels.
     """
     masks = c.masks
-    keep: list[int] = []
-    labels: dict[int, str] = {}
-    for p in c.preimages:
-        if not any(p.mask != m and p.mask & m == p.mask for m in masks):
-            keep.append(p.mask)
-            if p.label is not None:
-                labels[p.mask] = p.label
-    return Cover.from_masks(c.universe, keep, labels)
+    keep = [m for m in masks if not any(m != o and m & o == m for o in masks)]
+    return Cover(c.universe, keep, c.labels)
 
 
 def class_members(c: Cover, *, limit: int = MAX_CLASS_EXTRA) -> set[Cover]:
@@ -105,7 +97,7 @@ def class_members(c: Cover, *, limit: int = MAX_CLASS_EXTRA) -> set[Cover]:
     members = set()
     base = rep.masks
     for pick in range(1 << len(extras)):
-        members.add(Cover.from_masks(c.universe, base + tuple(extras[i] for i in bits(pick))))
+        members.add(Cover(c.universe, base + tuple(extras[i] for i in bits(pick))))
     return members
 
 
@@ -177,9 +169,7 @@ def partition_slice(universe: FeatureUniverse, *, limit: int | None = None) -> O
     partitions sit higher.  Restricted to partitions, refinement agrees
     with the combined cover ordering.
     """
-    bound = PARTITION_SLICE_LIMIT if limit is None else limit
-    if universe.n > bound:
-        raise SizeGuardError(f"partition slice limited to {bound} features (got {universe.n})")
+    bound = guard_features("partition slice", universe.n, limit, PARTITION_SLICE_LIMIT)
     from .enumeration import all_partitions, hasse_edges
 
     parts = all_partitions(universe, limit=bound)

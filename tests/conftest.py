@@ -3,6 +3,13 @@ import pytest
 from cover_lattice import PlanningProblem, all_covers, make_universe
 
 
+def pytest_configure(config):
+    # Any warning, a ResourceWarning or DeprecationWarning among them, fails
+    # this suite.  Set here rather than in pyproject.toml so that it covers
+    # tests/ only: perfbench/test_smoke.py leaks its launcher's stdout pipe.
+    config.addinivalue_line("filterwarnings", "error")
+
+
 @pytest.fixture(scope="session")
 def u1():
     return make_universe(["1"])

@@ -84,6 +84,71 @@ class TestBasics:
         assert out.read_text(encoding="utf-8") == "{1}|{2}|{3}|{1,2}|{1,3}|{2,3}|{1,2,3}\n"
 
 
+def run_module(*argv, **env):
+    """Run ``python -m cover_lattice`` in a child process; returns (status, stdout, stderr) bytes."""
+    import os
+    import subprocess
+    import sys
+
+    import cover_lattice
+
+    src = os.path.dirname(os.path.dirname(cover_lattice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cover_lattice", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+SURROGATE_COVER = {"universe": ["\ud800", "2"], "cover": [["\ud800", "2"]]}
+
+
+class TestEncoding:
+    """Input that is not UTF-8 and output the destination cannot encode exit 2."""
+
+    def test_input_not_utf8_is_unreadable(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"universe": ["a\xff"]}')
+        status, out, err = invoke(capsys, "validate", "--input", str(bad))
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+
+    def test_surrogate_label_to_stdout(self, files):
+        cov = files("c.json", SURROGATE_COVER)
+        status, out, err = run_module("star", "--input", cov)
+        assert status == 2
+        assert out == b""
+        assert err.startswith(b"error: ") and b"Traceback" not in err
+
+    def test_surrogate_label_to_out_file(self, capsys, files, tmp_path):
+        cov = files("c.json", SURROGATE_COVER)
+        dest = tmp_path / "result.txt"
+        status, out, err = invoke(capsys, "star", "--input", cov, "--out", str(dest))
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not dest.exists()
+
+    def test_surrogate_label_in_json_is_escaped(self, capsys, files):
+        cov = files("c.json", SURROGATE_COVER)
+        status, out, _ = invoke(capsys, "star", "--input", cov, "--format", "json")
+        assert status == 0
+        assert json.loads(out)["cover"] == [["\ud800"], ["2"], ["\ud800", "2"]]
+
+    def test_non_ascii_label_under_ascii_stdout(self, files):
+        cov = files("c.json", cover_doc(["é", "2"], ["é", "2"]))
+        status, out, err = run_module("star", "--input", cov, PYTHONIOENCODING="ascii")
+        assert status == 2
+        assert out == b""
+        assert err.startswith(b"error: ") and b"Traceback" not in err
+        status, out, _ = run_module("star", "--input", cov, PYTHONIOENCODING="utf-8")
+        assert status == 0
+        assert out == "{é}|{2}|{é,2}\n".encode("utf-8")
+
+
 class TestValidate:
     def test_kinds_reported(self, capsys, files, gps_map):
         cov = files("c.json", cover_doc("12", "12"))
@@ -237,6 +302,77 @@ class TestCoverOps:
         status, out, _ = invoke(capsys, "members", "--input", cov)
         assert status == 0
         assert out.splitlines() == ["{1,2}", "{1}|{1,2}", "{2}|{1,2}", "{1}|{2}|{1,2}"]
+
+
+def labelled_doc(universe, sets, labels):
+    return {**cover_doc(universe, *sets), "labels": labels}
+
+
+class TestLabelPropagation:
+    """Reading labels survive every command that builds a new cover."""
+
+    def run_json(self, capsys, *argv):
+        status, out, err = invoke(capsys, *argv, "--format", "json")
+        assert status == 0, err
+        return json.loads(out)
+
+    def test_meet_keeps_first_covers_label(self, capsys, files):
+        a = files("a.json", labelled_doc("123", ["12", "3"], ["x", "z"]))
+        b = files("b.json", labelled_doc("123", ["12", "23", "1"], ["y", "w", None]))
+        doc = self.run_json(capsys, "meet", "--input", a, "--input", b)
+        assert doc["cover"] == [["1"], ["3"], ["1", "2"], ["2", "3"]]
+        assert doc["labels"] == [None, "z", "x", "w"]
+        doc = self.run_json(capsys, "meet", "--input", b, "--input", a)
+        assert doc["labels"] == [None, "z", "y", "w"]
+
+    def test_join_keeps_first_covers_label(self, capsys, files):
+        a = files("a.json", labelled_doc("123", ["12", "3", "23"], ["x", None, "q"]))
+        b = files("b.json", labelled_doc("123", ["12", "3", "1"], ["y", "z", "v"]))
+        doc = self.run_json(capsys, "join", "--input", a, "--input", b)
+        assert doc["cover"] == [["3"], ["1", "2"]]
+        assert doc["labels"] == ["z", "x"]
+        doc = self.run_json(capsys, "join", "--input", b, "--input", a)
+        assert doc["labels"] == ["z", "y"]
+
+    def test_join_drops_labels_of_dropped_preimages(self, capsys, files):
+        a = files("a.json", labelled_doc("123", ["123", "1"], [None, "x"]))
+        b = files("b.json", labelled_doc("123", ["123", "2"], [None, "y"]))
+        doc = self.run_json(capsys, "join", "--input", a, "--input", b)
+        assert doc == {"universe": ["1", "2", "3"], "cover": [["1", "2", "3"]]}
+
+    def test_star_labels_only_original_preimages(self, capsys, files):
+        cov = files("c.json", labelled_doc("123", ["12", "23"], ["a", "b"]))
+        doc = self.run_json(capsys, "star", "--input", cov)
+        assert doc["cover"] == [["1"], ["2"], ["3"], ["1", "2"], ["2", "3"]]
+        assert doc["labels"] == [None, None, None, "a", "b"]
+
+    def test_star_keeps_label_of_nested_preimage(self, capsys, files):
+        cov = files("c.json", labelled_doc("12", ["12", "1"], [None, "low"]))
+        doc = self.run_json(capsys, "star", "--input", cov)
+        assert doc["cover"] == [["1"], ["2"], ["1", "2"]]
+        assert doc["labels"] == ["low", None, None]
+
+    def test_invert_labels_readings(self, capsys, gps_map, files):
+        doc = self.run_json(capsys, "invert", "--input", gps_map)
+        assert doc["cover"] == [["1", "2"], ["2", "3"], ["1", "2", "3"]]
+        assert doc["labels"] == ["1", "3", "2"]
+        twins = files("twins.json", {
+            "universe": ["1", "2", "3"],
+            "readings": {"q": ["1", "2"], "p": ["1", "2"], "r": ["3"]},
+        })
+        doc = self.run_json(capsys, "invert", "--input", twins)
+        assert doc["cover"] == [["3"], ["1", "2"]]
+        assert doc["labels"] == ["r", "p+q"]
+
+    def test_duplicate_subset_takes_first_non_null_label(self, capsys, files):
+        cov = files("c.json", labelled_doc("12", ["12", "12", "12"], [None, "a", "b"]))
+        doc = self.run_json(capsys, "meet", "--input", cov, "--input", cov)
+        assert doc["labels"] == ["a"]
+
+    def test_all_null_labels_are_not_written(self, capsys, files):
+        cov = files("c.json", labelled_doc("12", ["1", "2"], [None, None]))
+        doc = self.run_json(capsys, "star", "--input", cov)
+        assert "labels" not in doc
 
 
 class TestEnumeration:

@@ -4,7 +4,6 @@ import pytest
 
 from cover_lattice import (
     Cover,
-    Preimage,
     SensorMap,
     ValidationError,
     invert_sensor_map,
@@ -137,10 +136,17 @@ class TestMakeCover:
         assert {as_family(c) for c in covers3} == brute_cover_families(u3.labels)
 
     def test_equality_ignores_labels(self, u2):
-        a = Cover(u2, [Preimage(3, "x")])
-        b = Cover(u2, [Preimage(3, "y")])
+        a = Cover(u2, [3], {3: "x"})
+        b = Cover(u2, [3], {3: "y"})
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_labels_hold_labelled_preimages_only(self, u2):
+        c = Cover(u2, [1, 2], {1: "a", 2: None, 3: "stray"})
+        assert dict(c.labels) == {1: "a"}
+        with pytest.raises(TypeError):
+            c.labels[2] = "b"
+        assert dict(Cover(u2, [3]).labels) == {}
 
     def test_text_rendering(self, u3):
         assert str(C(u3, "12", "23")) == "{1,2}|{2,3}"
@@ -151,7 +157,7 @@ class TestSensorMap:
         gps = SensorMap(u3, {"1": ["1", "2"], "2": ["1", "2", "3"], "3": ["2", "3"]})
         cover = invert_sensor_map(gps)
         assert cover == C(u3, "12", "123", "23")
-        assert [p.label for p in cover.preimages] == ["1", "3", "2"]
+        assert [cover.labels.get(m) for m in cover.masks] == ["1", "3", "2"]
 
     def test_identity_map(self, u3):
         perfect = SensorMap(u3, {"1": ["1"], "2": ["2"], "3": ["3"]})
@@ -165,7 +171,7 @@ class TestSensorMap:
         m = SensorMap(u2, {"b": ["1", "2"], "a": ["2", "1"]})
         cover = invert_sensor_map(m)
         assert len(cover) == 1
-        assert cover.preimages[0].label == "a+b"
+        assert cover.labels[cover.masks[0]] == "a+b"
 
     def test_reading_with_empty_feature_set(self, u2):
         with pytest.raises(ValidationError, match="empty feature set"):

@@ -157,7 +157,9 @@ class TestRoundTrip:
         m = SensorMap(u3, {"1": ["1", "2"], "2": ["1", "2", "3"], "3": ["2", "3"]})
         cover = invert_sensor_map(m)
         again = parse_document(serialize_document(cover))
-        assert [p.label for p in again.preimages] == [p.label for p in cover.preimages]
+        assert [again.labels.get(m) for m in again.masks] == [
+            cover.labels.get(m) for m in cover.masks
+        ]
 
     def test_problem_round_trip(self, junction):
         text = serialize_document(junction)
@@ -247,5 +249,5 @@ class TestDot:
 
     def test_escaping(self):
         u = FeatureUniverse(['a"b'])
-        out = export_dot([Cover.from_masks(u, [1])], [])
+        out = export_dot([Cover(u, [1])], [])
         assert '\\"' in out

@@ -150,7 +150,7 @@ def test_policy_from_early_stop_matches_full_table(workload, monkeypatch):
     # extract_policy stops ranking at the initial belief; the policy, its
     # ranks and their insertion order must equal those read off the full table.
     cases = [
-        (p, Cover.from_masks(p.universe, masks))
+        (p, Cover(p.universe, masks))
         for p, masks in workload + _large_workload() + _antichain_workload()
     ]
     early = [_policy_items(p, c) for p, c in cases]

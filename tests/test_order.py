@@ -1,6 +1,7 @@
 import pytest
 
 from cover_lattice import (
+    Cover,
     RelationTag,
     SizeGuardError,
     UniverseMismatchError,
@@ -105,6 +106,14 @@ class TestUInflation:
             C(u3, "12", "3"),
         }
         assert u_inflation(c) == expected
+
+    def test_keeps_labels_of_kept_preimages(self, u3):
+        masks = [u3.mask_of(s) for s in ("1", "2", "3", "12")]
+        labels = dict(zip(masks, "abcd"))
+        got = list(iter_u_inflation(Cover(u3, masks, labels)))
+        assert len(got) == 5
+        for d in got:
+            assert dict(d.labels) == {m: labels[m] for m in d.masks}
 
     def test_blind_cover_is_alone(self, u3):
         c = C(u3, "123")

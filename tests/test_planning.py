@@ -112,7 +112,7 @@ class TestWinningBeliefs:
             for masks in covers:
                 ranks = sweep_rank_table(n, p.goal, masks, len(p.actions), post)
                 want = {frozenset(u.labels_of(b)) for b in range(1, 1 << n) if ranks[b] >= 0}
-                assert winning_beliefs(p, Cover.from_masks(u, masks)) == want
+                assert winning_beliefs(p, Cover(u, masks)) == want
 
     def test_state_count_guard(self):
         u = make_universe([str(i) for i in range(17)])
@@ -295,7 +295,7 @@ class TestMaximalSolvableCovers:
             assert solvable(p, c)
             for m in canonical_masks(u):
                 if m not in c.mask_set:
-                    assert not solvable(p, Cover.from_masks(u, c.masks + (m,)))
+                    assert not solvable(p, Cover(u, c.masks + (m,)))
 
     @pytest.mark.slow
     def test_junction_validated_against_brute_force(self, junction, u4):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cover_lattice import (
     Cover,
-    Preimage,
     Stipulation,
     complies,
     make_universe,
@@ -36,7 +35,7 @@ def cover_masks(draw, n):
 def covers(draw):
     n = draw(st.integers(1, 4))
     u = UNIVERSES[n]
-    return Cover.from_masks(u, draw(cover_masks(n)))
+    return Cover(u, draw(cover_masks(n)))
 
 
 @st.composite
@@ -44,8 +43,8 @@ def cover_pairs(draw):
     n = draw(st.integers(1, 4))
     u = UNIVERSES[n]
     return (
-        Cover.from_masks(u, draw(cover_masks(n))),
-        Cover.from_masks(u, draw(cover_masks(n))),
+        Cover(u, draw(cover_masks(n))),
+        Cover(u, draw(cover_masks(n))),
     )
 
 
@@ -60,9 +59,9 @@ def test_label_tables_match_bit_walk(case):
 
 @given(covers())
 def test_canonicalization_idempotent(c):
-    again = Cover.from_masks(c.universe, c.masks)
+    again = Cover(c.universe, c.masks)
     assert again == c
-    assert again.preimages == tuple(Preimage(m) for m in c.masks)
+    assert (again.masks, dict(again.labels)) == (c.masks, {})
 
 
 @given(covers())
@@ -112,6 +111,6 @@ def test_complies_ignores_construction_order_and_labels(c, rng):
     s = Stipulation(frozenset({"1"}), 1)
     masks = list(c.masks)
     rng.shuffle(masks)
-    relabeled = Cover(c.universe, [Preimage(m, f"r{i}") for i, m in enumerate(masks)])
+    relabeled = Cover(c.universe, masks, {m: f"r{i}" for i, m in enumerate(masks)})
     assert relabeled == c
     assert complies(relabeled, s) == complies(c, s)

@@ -1,6 +1,7 @@
 import pytest
 
 from cover_lattice import (
+    Cover,
     SizeGuardError,
     StarClass,
     ValidationError,
@@ -47,6 +48,13 @@ class TestStarClosure:
                 if a.mask_set <= b.mask_set:
                     assert ca <= star_closure(b).mask_set
 
+    def test_labels_only_original_preimages(self, u3):
+        m = u3.mask_of
+        c = Cover(u3, [m("12"), m("23")], {m("12"): "a", m("23"): "b"})
+        closed = star_closure(c)
+        assert closed == C(u3, "1", "2", "3", "12", "23")
+        assert dict(closed.labels) == {m("12"): "a", m("23"): "b"}
+
     def test_size_guard(self):
         u = make_universe([str(i) for i in range(21)])
         wide = make_cover(u, [[str(i) for i in range(21)]])
@@ -76,6 +84,13 @@ class TestStarEquivalence:
 class TestCanonicalRep:
     def test_drops_dominated_preimage(self, u3):
         assert canonical_rep(C(u3, "1", "12", "23")) == C(u3, "12", "23")
+
+    def test_keeps_labels_of_kept_preimages(self, u3):
+        m = u3.mask_of
+        c = Cover(u3, [m("1"), m("12"), m("23")], {m("1"): "low", m("12"): "x", m("23"): "y"})
+        rep = canonical_rep(c)
+        assert rep == C(u3, "12", "23")
+        assert dict(rep.labels) == {m("12"): "x", m("23"): "y"}
 
     def test_antichain_fixed_point(self, u3):
         c = C(u3, "1", "2", "3")

@@ -54,11 +54,12 @@ class TestComplies:
             complies(C(u2, "12"), Stipulation(frozenset({"9"})))
 
     def test_invariant_under_input_order_and_labels(self, u3):
-        from cover_lattice import Cover, Preimage
+        from cover_lattice import Cover
 
         s = Stipulation(frozenset({"1"}))
         a = C(u3, "12", "23")
-        b = Cover(u3, [Preimage(u3.mask_of("23"), "x"), Preimage(u3.mask_of("12"), "y")])
+        m12, m23 = u3.mask_of("12"), u3.mask_of("23")
+        b = Cover(u3, [m23, m12], {m23: "x", m12: "y"})
         assert complies(a, s) == complies(b, s)
 
     def test_anti_monotone_under_subsumption(self, u3, covers3):
