@@ -23,6 +23,7 @@ from .enumeration import (
     all_covers,
     all_partitions,
     canonical_masks,
+    class_count,
     cover_count,
     hasse_edges,
     iter_antichain_covers,

@@ -8,32 +8,48 @@ implementation and is re-exported as ``cover_lattice.KERNEL_BACKEND``.
 A problem is prepared once: ``post_table`` folds its transitions into the
 belief reached from every post-sensing belief under every action, and
 ``predecessor_index`` inverts that table.  Each cover is then ranked by a
-layered worklist attractor, the AND-OR game construction (Zielonka, TCS
-1998).  Beliefs leave a FIFO queue in non-decreasing rank order.  When a
-ranked belief ``x`` is dequeued, every post-sensing belief ``y`` with an
-action into ``x`` that was not yet safe becomes safe at value ``rank[x]``,
-its cheapest action.  That resolves the reading ``r`` for every belief
-``b = y | z`` with ``z`` outside ``r``, since sensing ``r`` at ``b`` leaves
-``y``.  A belief whose intersecting readings are all resolved takes rank
-``rank[x] + 1``: the last of its readings to resolve is its worst one.  The
-ranks are the fixpoint levels of the textbook sweep (rank ``k`` iff every
-intersecting reading has an action into rank below ``k``), but each belief
-is ranked once instead of being re-tested on every sweep: a call costs
-O(2^n * (A + m)) for ``A`` actions and ``m`` readings, against
-O(depth * 2^n * m * A) for the sweeps.
+level-synchronous attractor, the AND-OR game construction (Zielonka, TCS
+1998) computed a set at a time, as in symbolic model checking (Burch,
+Clarke, McMillan, Dill & Hwang, LICS 1990).  A set of beliefs is one Python
+int, bit ``b`` for belief ``b``.  Rank 0 is the beliefs inside the goal, and
+level ``k`` turns the beliefs of rank ``k`` into those of rank ``k + 1``:
 
-Because ranks are assigned in non-decreasing order, a belief's entry is
-final the moment it is set.  ``until`` uses this: the call returns as soon
-as that belief is ranked, and every entry set by then is exact.  ``solvable``
-and ``extract_policy`` stop at the initial belief; ``winning_beliefs`` ranks
-every belief.
+1. Every post-sensing belief ``y`` with an action into a belief of rank
+   ``k`` that was not yet safe becomes safe, at value ``k``, its cheapest
+   action.  This push walks the predecessor index belief by belief.
+2. For each reading ``r``, the newly safe beliefs inside ``r`` are spread
+   over the features outside ``r``, one ``d |= d << (1 << i)`` per such
+   feature ``i``.  That adds every belief ``b`` with ``b & r`` newly safe:
+   sensing ``r`` at ``b`` leaves ``b & r``, so ``r`` is resolved at ``b``.
+   Each reading's set starts as the beliefs it misses.
+3. The AND of those sets over all readings holds the beliefs whose every
+   intersecting reading is resolved.
+4. Each of them not yet ranked takes rank ``k + 1``: the last of its
+   readings to resolve is its worst one.
+
+The ranks are the fixpoint levels of the textbook sweep (rank ``k`` iff
+every intersecting reading has an action into rank below ``k``).  A call
+costs levels * readings * features shift-ors on 2^n-bit ints, each one
+pass in C, plus O(2^n * A) interpreted predecessor pushes and one rank
+store per belief, for ``A`` actions.  No step of the fan-out over the
+readings runs once per belief in Python.
+
+Levels come in increasing rank, and a level is computed whole before any
+of its beliefs is ranked, so an entry is final the moment it is set.
+``until`` uses this: each level is tested for that belief once, before it
+is ranked, and the call returns at the first level that holds it, with
+only that belief's entry set from the level.  Every entry of lower rank is
+then set and exact, and every entry still -1 ranks at least as high or not
+at all.  ``solvable`` and ``extract_policy`` stop at the initial belief;
+``winning_beliefs`` ranks every belief.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 
-__all__ = ["BACKEND", "post_table", "predecessor_index", "rank_table"]
+__all__ = ["BACKEND", "post_table", "predecessor_index", "rank_table", "subset_bits"]
 
 BACKEND: str = "pure"
 
@@ -81,6 +97,33 @@ def predecessor_index(n, n_actions, post):
     return start, preds
 
 
+def subset_bits(mask):
+    """The set of every subset of ``mask``: bit ``b`` is set iff ``b & ~mask == 0``.
+
+    The empty belief, bit 0, is included.  Each feature of ``mask`` doubles
+    the set with one shift-or.
+    """
+    bits = 1
+    while mask:
+        low = mask & -mask
+        bits |= bits << low
+        mask ^= low
+    return bits
+
+
+@lru_cache(maxsize=256)
+def _mask_sets(mask, full):
+    """The beliefs inside ``mask``, the beliefs missing it, and the features
+    outside it, as shift amounts ``1 << i``.
+
+    Every ranking reads these for its goal and each of its readings, so they
+    are cached: at most 256 masks, two 8 KB sets each at 16 states.
+    """
+    comp = full & ~mask
+    lows = tuple(1 << i for i in range(full.bit_length()) if comp >> i & 1)
+    return subset_bits(mask), subset_bits(comp), lows
+
+
 def rank_table(n, goal_mask, preimage_masks, n_actions, post, index, until=0):
     """Steps-to-goal rank for every belief bitmask in ``range(1 << n)``.
 
@@ -95,64 +138,54 @@ def rank_table(n, goal_mask, preimage_masks, n_actions, post, index, until=0):
     branch.
 
     When ``until`` names a belief, the call returns as soon as that belief
-    is ranked; entries not yet reached then read -1.  The default, 0, is
-    never ranked, so every belief is.
+    is ranked; other entries of its rank or higher then read -1.  The
+    default, 0, is never ranked, so every belief is.
     """
     start, preds = index
     size = 1 << n
     full = size - 1
-    m = len(preimage_masks)
     rank = [-1] * size
-    # Readings of each belief not yet resolved; a count that reaches 0 ranks it.
-    count = [m] * size
-    # The post-sensing beliefs some reading can leave, until each turns safe.
-    live = bytearray(size)
+    inside = []  # per reading: the beliefs it contains
+    outside = []  # per reading: the features it misses, as shift amounts
+    resolved = []  # per reading: the beliefs it misses or leaves safe
     for r in preimage_masks:
-        comp = full & ~r
-        z = comp
-        while z:
-            count[z] -= 1
-            z = (z - 1) & comp
-        y = r
-        while y:
-            live[y] = 1
-            y = (y - 1) & r
-    queue = array("l", [0]) * size
-    tail = 0
-    g = goal_mask
-    while g:
-        rank[g] = 0
-        count[g] = m + 1  # one more than it can lose: never reaches 0
-        queue[tail] = g
-        tail += 1
-        g = (g - 1) & goal_mask
-    if rank[until] >= 0:
-        return rank
-    head = 0
-    while head < tail:
-        x = queue[head]
-        head += 1
-        k = rank[x] + 1
-        for y in preds[start[x] : start[x + 1]]:
-            if not live[y]:
-                continue
-            live[y] = 0
-            for r in preimage_masks:
-                if y & r != y:
-                    continue
-                comp = full & ~r
-                z = comp
-                while True:
-                    b = y | z
-                    c = count[b] - 1
-                    count[b] = c
-                    if not c:
-                        rank[b] = k
-                        queue[tail] = b
-                        tail += 1
-                        if b == until:
-                            return rank
-                    if not z:
-                        break
-                    z = (z - 1) & comp
+        sub, missing, lows = _mask_sets(r, full)
+        inside.append(sub)
+        resolved.append(missing)
+        outside.append(lows)
+    readings = range(len(inside))
+    # ASCII "1" at index ``full - y`` once post-sensing belief ``y`` is safe.
+    flags = bytearray(b"0") * size
+    safe = 0
+    ranked = _mask_sets(goal_mask, full)[0]  # bit 0 stays set: the empty belief is never ranked
+    new = ranked ^ 1
+    k = 0
+    while new:
+        if new >> until & 1:
+            rank[until] = k
+            return rank
+        # "0b" and the bits of ``new``, most significant first: belief ``top - i`` at index ``i``.
+        bits = bin(new)
+        top = len(bits) - 1
+        i = bits.find("1")
+        while i >= 0:
+            x = top - i
+            rank[x] = k
+            for y in preds[start[x] : start[x + 1]]:
+                flags[full - y] = 49
+            i = bits.find("1", i + 1)
+        fresh = int(flags, 2) & ~safe
+        if not fresh:
+            break
+        safe |= fresh
+        new = ~ranked
+        for j in readings:
+            d = fresh & inside[j]
+            if d:
+                for low in outside[j]:
+                    d |= d << low
+                resolved[j] |= d
+            new &= resolved[j]
+        ranked |= new
+        k += 1
     return rank

@@ -13,7 +13,14 @@ import sys
 from typing import Sequence
 
 from .core import Cover, FeatureUniverse, SensorMap, invert_sensor_map, make_universe
-from .enumeration import all_classes, all_covers, all_partitions, cover_count, hasse_edges
+from .enumeration import (
+    all_classes,
+    all_covers,
+    all_partitions,
+    class_count,
+    cover_count,
+    hasse_edges,
+)
 from .errors import CoverLatticeError, SchemaError
 from .formats import (
     class_doc,
@@ -274,13 +281,13 @@ def _cmd_enumerate(args, docs):
 def _cmd_classes(args, docs):
     _no_dot(args)
     universe = _universe_arg(docs, args)
-    classes = sorted(
-        all_classes(universe, limit=_effective_max_n(args)),
-        key=lambda sc: sc.representative.canonical_key,
-    )
+    limit = _effective_max_n(args)
     if args.format == "json":
+        classes = sorted(
+            all_classes(universe, limit=limit), key=lambda sc: sc.representative.canonical_key
+        )
         return json_text(classes_doc(universe, classes)), EXIT_OK
-    return f"{len(classes)}\n", EXIT_OK
+    return f"{class_count(universe, limit=limit)}\n", EXIT_OK
 
 
 def _cmd_partitions(args, docs):
@@ -424,8 +431,12 @@ def run_cli(argv: Sequence[str]) -> int:
                 return EXIT_USAGE
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
     except UnicodeEncodeError as exc:
         print(f"error: cannot encode output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # a full disk or a closed pipe (BrokenPipeError)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return status
 

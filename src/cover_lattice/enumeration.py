@@ -27,6 +27,7 @@ __all__ = [
     "all_covers",
     "all_partitions",
     "canonical_masks",
+    "class_count",
     "cover_count",
     "hasse_edges",
     "iter_antichain_covers",
@@ -132,6 +133,16 @@ def all_classes(universe: FeatureUniverse, *, limit: int | None = None) -> set[S
     """
     guard_features("class enumeration", universe.n, limit, CLASS_ENUM_LIMIT)
     return {StarClass(rep, star_closure(rep)) for rep in iter_antichain_covers(universe)}
+
+
+def class_count(universe: FeatureUniverse, *, limit: int | None = None) -> int:
+    """Number of star classes: the covering antichains, counted without closures.
+
+    Guarded like ``all_classes``, so a count is given for exactly the
+    universes whose classes can be listed.
+    """
+    guard_features("class enumeration", universe.n, limit, CLASS_ENUM_LIMIT)
+    return sum(1 for _ in iter_antichain_covers(universe))
 
 
 def _iter_index_partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -1,4 +1,8 @@
+import errno
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -86,9 +90,7 @@ class TestBasics:
 
 def run_module(*argv, **env):
     """Run ``python -m cover_lattice`` in a child process; returns (status, stdout, stderr) bytes."""
-    import os
     import subprocess
-    import sys
 
     import cover_lattice
 
@@ -147,6 +149,40 @@ class TestEncoding:
         status, out, _ = run_module("star", "--input", cov, PYTHONIOENCODING="utf-8")
         assert status == 0
         assert out == "{é}|{2}|{é,2}\n".encode("utf-8")
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` fails like a full disk or a closed pipe."""
+
+    def __init__(self, method, err):
+        super().__init__()
+        self.method = method
+        self.err = err
+
+    def write(self, text):
+        if self.method == "write":
+            raise OSError(self.err, os.strerror(self.err))
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise OSError(self.err, os.strerror(self.err))
+
+
+class TestWriteFailure:
+    """A stdout that cannot be written exits 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("err", [errno.ENOSPC, errno.EPIPE])
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "--max-n", "2"], ["classes", "--max-n", "3", "--format", "json"]],
+    )
+    def test_exit_two(self, capsys, monkeypatch, method, err, argv):
+        # OSError(EPIPE, ...) is a BrokenPipeError, what a closed pipe raises.
+        monkeypatch.setattr(sys, "stdout", FailingStdout(method, err))
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write output: [Errno {err}] {os.strerror(err)}\n"
 
 
 class TestValidate:
@@ -417,6 +453,8 @@ class TestEnumeration:
     def test_classes(self, capsys):
         status, out, _ = invoke(capsys, "classes", "--max-n", "3")
         assert status == 0 and out == "9\n"
+        status, out, _ = invoke(capsys, "classes", "--max-n", "4")
+        assert status == 0 and out == "114\n"
         status, out, _ = invoke(capsys, "classes", "--max-n", "2", "--format", "json")
         doc = json.loads(out)
         assert doc["count"] == 2

@@ -8,6 +8,7 @@ from cover_lattice import (
     all_covers,
     all_partitions,
     canonical_rep,
+    class_count,
     cover_count,
     hasse_edges,
     is_partition,
@@ -97,6 +98,23 @@ class TestAllClasses:
             masks = rep.masks
             assert not any(a != b and a & b == a for a in masks for b in masks)
             assert star_closure(rep) == sc.closure
+
+
+class TestClassCount:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_all_classes(self, n):
+        u = make_universe([str(i + 1) for i in range(n)])
+        assert class_count(u) == len(all_classes(u))
+
+    def test_guarded_like_all_classes(self):
+        u5 = make_universe(list("abcde"))
+        with pytest.raises(SizeGuardError, match="class enumeration limited to 4"):
+            class_count(u5)
+        with pytest.raises(SizeGuardError, match="class enumeration limited to 4"):
+            all_classes(u5)
+        assert class_count(make_universe(list("ab")), limit=2) == 2
+        with pytest.raises(SizeGuardError):
+            class_count(make_universe(list("ab")), limit=1)
 
 
 class TestIterAntichainCovers:

@@ -15,7 +15,7 @@ from cover_lattice import (
     solvable,
 )
 from cover_lattice import planning
-from cover_lattice._kernel import predecessor_index, rank_table
+from cover_lattice._kernel import predecessor_index, rank_table, subset_bits
 
 from util import corridor_problem, random_problem, sparse_problem, sweep_rank_table
 
@@ -86,30 +86,41 @@ def _ranks(p, masks, until=0):
     return rank_table(p.universe.n, p.goal, masks, len(p.actions), post, index, until)
 
 
+def _assert_certified(p, masks, ranks):
+    # The table is a self-certifying fixpoint.
+    acount = len(p.actions)
+    post = p._tables[0]
+    assert len(ranks) == 1 << p.universe.n and ranks[0] == -1
+    for b in range(1, 1 << p.universe.n):
+        k = ranks[b]
+        if k == 0:
+            assert not b & ~p.goal
+        elif k > 0:
+            assert b & ~p.goal
+            for r in masks:
+                br = b & r
+                if br:
+                    assert any(
+                        0 <= ranks[post[br * acount + a]] < k for a in range(acount)
+                    )
+        else:
+            assert any(
+                all(ranks[post[(b & r) * acount + a]] < 0 for a in range(acount))
+                for r in masks
+                if b & r
+            )
+
+
+def _assert_early_return_exact(p, masks, full):
+    # The early return ranks the initial belief exactly; every entry it set is final.
+    early = _ranks(p, masks, until=p.initial)
+    assert early[p.initial] == full[p.initial]
+    assert all(v == full[b] for b, v in enumerate(early) if v >= 0)
+
+
 def test_rank_certificates(workload):
-    # Every output must be a self-certifying fixpoint.
     for p, masks in workload:
-        acount = len(p.actions)
-        post = p._tables[0]
-        ranks = _ranks(p, masks)
-        for b in range(1, 1 << p.universe.n):
-            k = ranks[b]
-            if k == 0:
-                assert not b & ~p.goal
-            elif k > 0:
-                assert b & ~p.goal
-                for r in masks:
-                    br = b & r
-                    if br:
-                        assert any(
-                            0 <= ranks[post[br * acount + a]] < k for a in range(acount)
-                        )
-            else:
-                assert any(
-                    all(ranks[post[(b & r) * acount + a]] < 0 for a in range(acount))
-                    for r in masks
-                    if b & r
-                )
+        _assert_certified(p, masks, _ranks(p, masks))
 
 
 def _assert_matches_sweep(cases):
@@ -118,10 +129,7 @@ def _assert_matches_sweep(cases):
         post = p._tables[0]
         full = _ranks(p, masks)
         assert full == sweep_rank_table(n, p.goal, masks, acount, list(post)), (p, masks)
-        # The early return ranks the initial belief exactly; every entry it set is final.
-        early = _ranks(p, masks, until=p.initial)
-        assert early[p.initial] == full[p.initial]
-        assert all(v == full[b] for b, v in enumerate(early) if v >= 0)
+        _assert_early_return_exact(p, masks, full)
         cover = make_cover(p.universe, [p.universe.labels_of(m) for m in masks])
         assert solvable(p, cover) == (full[p.initial] >= 0)
 
@@ -167,6 +175,35 @@ def test_index_inverts_post(workload):
         for x in range(1 << n):
             want = [y for y in range(1, 1 << n) for a in range(acount) if post[y * acount + a] == x]
             assert list(preds[start[x] : start[x + 1]]) == want
+
+
+@pytest.mark.parametrize("goal_right", [True, False])
+def test_widest_corridor(goal_right):
+    # MAX_STATES states: 2^16-bit belief sets, ranks 0 to 15 under both covers.
+    u = make_universe([str(i + 1) for i in range(planning.MAX_STATES)])
+    p = corridor_problem(u, goal_right=goal_right)
+    for masks in ([1 << i for i in range(u.n)], [u.full_mask]):
+        full = _ranks(p, masks)
+        assert max(full) == u.n - 1
+        _assert_certified(p, masks, full)
+        _assert_early_return_exact(p, masks, full)
+
+
+def test_one_state_world():
+    u = make_universe(["1"])
+    for n_actions in (1, 2):
+        p = random_problem(u, n_actions, n_actions=n_actions)
+        full = _ranks(p, [1])
+        assert full == [-1, 0]
+        _assert_certified(p, [1], full)
+        _assert_early_return_exact(p, [1], full)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_subset_bits_brute_force(n):
+    for mask in range(1 << n):
+        want = sum(1 << b for b in range(1 << n) if not b & ~mask)
+        assert subset_bits(mask) == want
 
 
 def test_no_action_world():
