@@ -9,9 +9,10 @@ value is exactly the set of beliefs from which this game is winnable.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from . import _kernel
 from .core import Cover, FeatureUniverse
@@ -188,12 +189,60 @@ def _ranks(p: PlanningProblem, c: Cover, until: int = 0) -> list[int]:
     return _kernel.rank_table(p.universe.n, p.goal, c.masks, len(p.actions), post, index, until)
 
 
-def winning_beliefs(p: PlanningProblem, c: Cover) -> set[Belief]:
-    """Beliefs from which some policy guarantees reaching the goal under ``c``."""
+class _WinningBeliefs(Set):
+    """Read-only set of the winning beliefs, read from a full rank table.
+
+    Nothing is decoded up front: ``len`` counts ranked entries, ``in`` looks
+    up one mask, and iteration decodes each ranked belief with ``belief_of``,
+    in ascending mask order, every time it runs.  The comparisons and set
+    operators are the ``Set`` mixins, and the operators return plain sets.
+    """
+
+    __slots__ = ("_universe", "_ranks")
+
+    def __init__(self, universe: FeatureUniverse, ranks: list[int]):
+        self._universe = universe
+        self._ranks = ranks
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return set(it)
+
+    def __len__(self):
+        return len(self._ranks) - self._ranks.count(-1)
+
+    def __contains__(self, belief):
+        # Only a non-empty set of known labels is a belief.  Without the type
+        # check, mask_of would read a str such as "12" label by label.
+        if not isinstance(belief, (set, frozenset)) or not belief:
+            return False
+        try:
+            mask = self._universe.mask_of(belief)
+        except ValidationError:
+            return False
+        return self._ranks[mask] >= 0
+
+    def __iter__(self):
+        belief_of = self._universe.belief_of
+        for b, r in enumerate(self._ranks):
+            if r >= 0:
+                yield belief_of(b)
+
+    def __repr__(self):
+        n = self._universe.n
+        return f"<winning beliefs: {len(self)} of the {(1 << n) - 1} beliefs over {n} states>"
+
+
+def winning_beliefs(p: PlanningProblem, c: Cover) -> AbstractSet[Belief]:
+    """Beliefs from which some policy guarantees reaching the goal under ``c``.
+
+    The result is a read-only set view over the rank table.  ``len`` and
+    ``in`` decode nothing, but each iteration decodes every winning belief
+    again, and so does comparing the view with a set of the same size.
+    ``set(winning_beliefs(p, c))`` gives a mutable copy.
+    """
     _check_pair(p, c)
-    ranks = _ranks(p, c)
-    belief_of = p.universe.belief_of
-    return {belief_of(b) for b in range(1, 1 << p.universe.n) if ranks[b] >= 0}
+    return _WinningBeliefs(p.universe, _ranks(p, c))
 
 
 def solvable(p: PlanningProblem, c: Cover) -> bool:

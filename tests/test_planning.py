@@ -4,6 +4,7 @@ import pytest
 
 from cover_lattice import (
     Cover,
+    FeatureUniverse,
     PlanningProblem,
     Policy,
     SizeGuardError,
@@ -23,6 +24,8 @@ from cover_lattice import (
     verify_policy,
     winning_beliefs,
 )
+
+from cover_lattice._kernel import rank_table
 
 from util import (
     C,
@@ -95,10 +98,70 @@ class TestWinningBeliefs:
         with pytest.raises(UniverseMismatchError):
             winning_beliefs(junction, C(u3, "123"))
 
-    @pytest.mark.parametrize("n", [9, 12, 13, 14])
+    @pytest.mark.parametrize(
+        "x",
+        [B("1"), {"1"}, B("1", "3"), {"2", "3"}, B("9"), B("1", "9"), B(), set(), "1", "12", 1, 5, None],
+    )
+    def test_membership_agrees_with_a_real_set(self, junction, u4, x):
+        # Only a non-empty set of known labels can be a member: a str is not
+        # read label by label, and an int is not taken for a mask.
+        win = winning_beliefs(junction, C(u4, "1234"))
+        assert (x in win) == (x in set(win))
+
+    def test_len_and_comparisons_with_a_real_set(self, junction, u4):
+        win = winning_beliefs(junction, C(u4, "1234"))
+        want = {B("1"), B("2"), B("3"), B("1", "2"), B("2", "3")}
+        assert len(win) == len(want) == 5
+        assert win == want and want == win
+        assert not (win != want) and not (want != win)
+        other = want - {B("1")}
+        assert win != other and other != win
+        assert win >= other and other <= win and not win <= other
+        assert win <= want <= win and want >= win
+
+    def test_set_operators_return_plain_sets(self, junction, u4):
+        win = winning_beliefs(junction, C(u4, "1234"))
+        some = {B("1"), B("4")}
+        for got, want in (
+            (win & some, {B("1")}),
+            (some & win, {B("1")}),
+            (win | some, set(win) | {B("4")}),
+            (win - some, set(win) - {B("1")}),
+            (win ^ some, set(win) - {B("1")} | {B("4")}),
+        ):
+            assert type(got) is set and got == want
+
+    def test_result_is_read_only_and_unhashable(self, junction, u4):
+        win = winning_beliefs(junction, C(u4, "1234"))
+        with pytest.raises(TypeError):
+            hash(win)
+        assert not hasattr(win, "add")
+        assert "5 of the 15 beliefs" in repr(win)
+
+    def test_beliefs_decoded_only_on_iteration(self, monkeypatch, junction, u4):
+        calls = []
+        belief_of = FeatureUniverse.belief_of
+
+        def counted(self, mask):
+            calls.append(mask)
+            return belief_of(self, mask)
+
+        monkeypatch.setattr(FeatureUniverse, "belief_of", counted)
+        win = winning_beliefs(junction, C(u4, "1", "2", "3", "4"))
+        assert calls == []
+        assert B("1", "3") in win and B("4") not in win
+        assert calls == []
+        beliefs = list(win)
+        assert len(calls) == len(win) == len(beliefs) == len(set(beliefs))
+        assert calls == sorted(calls)
+
+    @pytest.mark.parametrize("n", [9, 12, 13, 14, 15, 16])
     def test_matches_sweep_oracle_labels(self, n):
-        # The label sets equal the ones built from the sweep oracle's table
-        # one frozenset(labels_of(b)) at a time.
+        # The result equals the label sets built from a full rank table one
+        # frozenset(labels_of(b)) at a time.  Up to 14 states the table is
+        # the sweep oracle's; above, where the sweep takes several seconds
+        # per problem, it is the kernel's own full table, so these sizes
+        # check the result's decoding and count at the MAX_STATES edge.
         u = make_universe([str(i + 1) for i in range(n)])
         rng = random.Random(n)
         readings = {rng.randint(1, u.full_mask) for _ in range(3)}
@@ -108,11 +171,15 @@ class TestWinningBeliefs:
         covers = ([1 << i for i in range(n)], [u.full_mask], sorted(readings | {rest} - {0}))
         corridor = corridor_problem(u, goal_right=n % 2 == 0)
         for p in (corridor, sparse_problem(u, n), sparse_problem(u, n + 1)):
-            post = list(p._tables[0])
+            post, index = p._tables
             for masks in covers:
-                ranks = sweep_rank_table(n, p.goal, masks, len(p.actions), post)
+                if n <= 14:
+                    ranks = sweep_rank_table(n, p.goal, masks, len(p.actions), list(post))
+                else:
+                    ranks = rank_table(n, p.goal, masks, len(p.actions), post, index)
                 want = {frozenset(u.labels_of(b)) for b in range(1, 1 << n) if ranks[b] >= 0}
-                assert winning_beliefs(p, Cover(u, masks)) == want
+                got = winning_beliefs(p, Cover(u, masks))
+                assert got == want and len(got) == len(want)
 
     def test_state_count_guard(self):
         u = make_universe([str(i) for i in range(17)])
