@@ -239,7 +239,8 @@ def winning_beliefs(p: PlanningProblem, c: Cover) -> AbstractSet[Belief]:
     The result is a read-only set view over the rank table.  ``len`` and
     ``in`` decode nothing, but each iteration decodes every winning belief
     again, and so does comparing the view with a set of the same size.
-    ``set(winning_beliefs(p, c))`` gives a mutable copy.
+    ``set(winning_beliefs(p, c))`` gives a mutable copy; take it once if the
+    beliefs are to be read more than once.
     """
     _check_pair(p, c)
     return _WinningBeliefs(p.universe, _ranks(p, c))

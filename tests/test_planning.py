@@ -26,6 +26,7 @@ from cover_lattice import (
 )
 
 from cover_lattice._kernel import rank_table
+from cover_lattice.planning import MAX_STATES
 
 from util import (
     C,
@@ -155,13 +156,10 @@ class TestWinningBeliefs:
         assert len(calls) == len(win) == len(beliefs) == len(set(beliefs))
         assert calls == sorted(calls)
 
-    @pytest.mark.parametrize("n", [9, 12, 13, 14, 15, 16])
+    @pytest.mark.parametrize("n", [9, 12, 13, 14])
     def test_matches_sweep_oracle_labels(self, n):
-        # The result equals the label sets built from a full rank table one
-        # frozenset(labels_of(b)) at a time.  Up to 14 states the table is
-        # the sweep oracle's; above, where the sweep takes several seconds
-        # per problem, it is the kernel's own full table, so these sizes
-        # check the result's decoding and count at the MAX_STATES edge.
+        # The label sets equal the ones built from the sweep oracle's table
+        # one frozenset(labels_of(b)) at a time.
         u = make_universe([str(i + 1) for i in range(n)])
         rng = random.Random(n)
         readings = {rng.randint(1, u.full_mask) for _ in range(3)}
@@ -171,15 +169,28 @@ class TestWinningBeliefs:
         covers = ([1 << i for i in range(n)], [u.full_mask], sorted(readings | {rest} - {0}))
         corridor = corridor_problem(u, goal_right=n % 2 == 0)
         for p in (corridor, sparse_problem(u, n), sparse_problem(u, n + 1)):
-            post, index = p._tables
+            post = list(p._tables[0])
             for masks in covers:
-                if n <= 14:
-                    ranks = sweep_rank_table(n, p.goal, masks, len(p.actions), list(post))
-                else:
-                    ranks = rank_table(n, p.goal, masks, len(p.actions), post, index)
+                ranks = sweep_rank_table(n, p.goal, masks, len(p.actions), post)
                 want = {frozenset(u.labels_of(b)) for b in range(1, 1 << n) if ranks[b] >= 0}
                 got = winning_beliefs(p, Cover(u, masks))
                 assert got == want and len(got) == len(want)
+
+    def test_every_belief_wins_at_max_states(self):
+        # At MAX_STATES a corridor under singleton readings is won from every
+        # belief.  The sweep oracle takes seconds at this size, so the label
+        # sets are built from the kernel's own table (the kernel is checked
+        # against the sweep up to 14 states).
+        n = MAX_STATES
+        u = make_universe([str(i + 1) for i in range(n)])
+        p = corridor_problem(u)
+        masks = [1 << i for i in range(n)]
+        post, index = p._tables
+        ranks = rank_table(n, p.goal, masks, len(p.actions), post, index)
+        want = {frozenset(u.labels_of(b)) for b in range(1, 1 << n) if ranks[b] >= 0}
+        got = winning_beliefs(p, Cover(u, masks))
+        assert len(got) == len(want) == (1 << n) - 1
+        assert got == want
 
     def test_state_count_guard(self):
         u = make_universe([str(i) for i in range(17)])
