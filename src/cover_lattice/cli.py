@@ -12,15 +12,9 @@ import os
 import sys
 from typing import Sequence
 
+# Each handler imports the layers it calls, so a process loads only what its
+# subcommand uses.
 from .core import Cover, FeatureUniverse, SensorMap, invert_sensor_map, make_universe
-from .enumeration import (
-    all_classes,
-    all_covers,
-    all_partitions,
-    class_count,
-    cover_count,
-    hasse_edges,
-)
 from .errors import CoverLatticeError, SchemaError
 from .formats import (
     class_doc,
@@ -34,10 +28,6 @@ from .formats import (
     policy_doc,
     serialize_document,
 )
-from .order import compare, join, meet
-from .planning import PlanningProblem, extract_policy, maximal_solvable_covers, solvable
-from .star import partition_slice, proceeds, star_class
-from .stipulations import Stipulation, class_compliance_report, complies
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -173,21 +163,21 @@ def _sorted_covers(covers) -> list[Cover]:
     return sorted(covers, key=lambda c: c.canonical_key)
 
 
-DOC_KINDS = (
-    (Cover, "cover"),
-    (FeatureUniverse, "universe"),
-    (PlanningProblem, "problem"),
-    (Stipulation, "stipulation"),
-    (SensorMap, "sensor-map"),
-    (tuple, "covers"),
-)
+# By type name, so that naming a document's kind imports no layer that the
+# documents given did not already need.
+DOC_KINDS = {
+    "Cover": "cover",
+    "FeatureUniverse": "universe",
+    "PlanningProblem": "problem",
+    "Stipulation": "stipulation",
+    "SensorMap": "sensor-map",
+    "tuple": "covers",
+}
 
 
 def _kind_name(doc) -> str:
-    for kind, name in DOC_KINDS:
-        if isinstance(doc, kind):
-            return name
-    return type(doc).__name__
+    name = type(doc).__name__
+    return DOC_KINDS.get(name, name)
 
 
 def _cmd_validate(args, docs):
@@ -208,6 +198,8 @@ def _cmd_invert(args, docs):
 
 def _cmd_compare(args, docs):
     _no_dot(args)
+    from .order import compare
+
     a, b = _two_covers(docs)
     tag = compare(a, b)
     if args.format == "json":
@@ -217,12 +209,16 @@ def _cmd_compare(args, docs):
 
 def _cmd_meet(args, docs):
     _no_dot(args)
+    from .order import meet
+
     a, b = _two_covers(docs)
     return _cover_out(meet(a, b), args), EXIT_OK
 
 
 def _cmd_join(args, docs):
     _no_dot(args)
+    from .order import join
+
     a, b = _two_covers(docs)
     result = join(a, b)
     if result is None:
@@ -240,6 +236,8 @@ def _cmd_star(args, docs):
 
 def _cmd_class(args, docs):
     _no_dot(args)
+    from .star import star_class
+
     sc = star_class(_one_cover(docs))
     if args.format == "json":
         return json_text(class_doc(sc)), EXIT_OK
@@ -262,6 +260,8 @@ def _cmd_members(args, docs):
 
 def _cmd_proceeds(args, docs):
     _no_dot(args)
+    from .star import proceeds
+
     a, b = _two_covers(docs)
     result = proceeds(a, b)
     if args.format == "json":
@@ -271,6 +271,8 @@ def _cmd_proceeds(args, docs):
 
 def _cmd_enumerate(args, docs):
     _no_dot(args)
+    from .enumeration import all_covers, cover_count
+
     universe = _universe_arg(docs, args)
     limit = _effective_max_n(args)
     if args.format == "json":
@@ -280,6 +282,8 @@ def _cmd_enumerate(args, docs):
 
 def _cmd_classes(args, docs):
     _no_dot(args)
+    from .enumeration import all_classes, class_count
+
     universe = _universe_arg(docs, args)
     limit = _effective_max_n(args)
     if args.format == "json":
@@ -291,6 +295,9 @@ def _cmd_classes(args, docs):
 
 
 def _cmd_partitions(args, docs):
+    from .enumeration import all_partitions
+    from .star import partition_slice
+
     universe = _universe_arg(docs, args)
     limit = _effective_max_n(args)
     if args.format == "dot":
@@ -303,6 +310,8 @@ def _cmd_partitions(args, docs):
 
 
 def _cmd_hasse(args, docs):
+    from .enumeration import hasse_edges
+
     covers = _covers_in(docs)
     if not covers:
         raise UsageError("hasse needs cover inputs (a covers document or cover files)")
@@ -322,6 +331,8 @@ def _cmd_hasse(args, docs):
 
 def _cmd_solve(args, docs):
     _no_dot(args)
+    from .planning import PlanningProblem, solvable
+
     problem = _pick(docs, PlanningProblem, "problem")
     cover = _one_cover(docs)
     ok = solvable(problem, cover)
@@ -332,6 +343,8 @@ def _cmd_solve(args, docs):
 
 def _cmd_policy(args, docs):
     _no_dot(args)
+    from .planning import PlanningProblem, extract_policy
+
     problem = _pick(docs, PlanningProblem, "problem")
     cover = _one_cover(docs)
     pol = extract_policy(problem, cover)
@@ -343,6 +356,8 @@ def _cmd_policy(args, docs):
 
 def _cmd_search_sensors(args, docs):
     _no_dot(args)
+    from .planning import PlanningProblem, maximal_solvable_covers
+
     problem = _pick(docs, PlanningProblem, "problem")
     found = _sorted_covers(
         maximal_solvable_covers(problem, limit=_effective_max_n(args))
@@ -354,6 +369,8 @@ def _cmd_search_sensors(args, docs):
 
 def _cmd_stipulation(args, docs):
     _no_dot(args)
+    from .stipulations import Stipulation, complies
+
     cover = _one_cover(docs)
     stip = _pick(docs, Stipulation, "stipulation")
     ok = complies(cover, stip)
@@ -364,6 +381,8 @@ def _cmd_stipulation(args, docs):
 
 def _cmd_class_report(args, docs):
     _no_dot(args)
+    from .stipulations import Stipulation, class_compliance_report
+
     cover = _one_cover(docs)
     stip = _pick(docs, Stipulation, "stipulation")
     report = class_compliance_report(cover, stip)

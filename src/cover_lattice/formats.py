@@ -8,13 +8,15 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .core import Cover, FeatureUniverse, SensorMap
 from .errors import SchemaError
-from .planning import PlanningProblem, Policy, make_problem
-from .star import StarClass
-from .stipulations import ComplianceReport, Stipulation
+
+if TYPE_CHECKING:  # the parsers and serializers that need these layers import them
+    from .planning import PlanningProblem, Policy
+    from .star import StarClass
+    from .stipulations import ComplianceReport, Stipulation
 
 __all__ = [
     "belief_text",
@@ -116,6 +118,8 @@ def _parse_sensor_map(doc: dict) -> SensorMap:
 
 
 def _parse_problem(doc: dict) -> PlanningProblem:
+    from .planning import make_problem
+
     states = _string_array(doc["states"], "$.states")
     universe = FeatureUniverse(states)
     _expect("actions" in doc, "$", "missing key: actions")
@@ -141,6 +145,8 @@ def _parse_problem(doc: dict) -> PlanningProblem:
 
 
 def _parse_stipulation(doc: dict) -> Stipulation:
+    from .stipulations import Stipulation
+
     sensitive = _string_array(doc["sensitive"], "$.sensitive")
     k = doc.get("max_resolution")
     if k is not None:
@@ -326,10 +332,6 @@ def serialize_document(value) -> str:
         doc = _cover_doc(value)
     elif isinstance(value, FeatureUniverse):
         doc = {"universe": list(value.labels)}
-    elif isinstance(value, PlanningProblem):
-        doc = _problem_doc(value)
-    elif isinstance(value, Stipulation):
-        doc = _stipulation_doc(value)
     elif isinstance(value, SensorMap):
         doc = _sensor_map_doc(value)
     elif isinstance(value, (tuple, list)):
@@ -337,7 +339,15 @@ def serialize_document(value) -> str:
             raise ValueError("cannot serialize an empty cover sequence without a universe")
         doc = covers_doc(value[0].universe, list(value))
     else:
-        raise TypeError(f"cannot serialize values of type {type(value).__name__}")
+        from .planning import PlanningProblem
+        from .stipulations import Stipulation
+
+        if isinstance(value, PlanningProblem):
+            doc = _problem_doc(value)
+        elif isinstance(value, Stipulation):
+            doc = _stipulation_doc(value)
+        else:
+            raise TypeError(f"cannot serialize values of type {type(value).__name__}")
     return json_text(doc)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
-from . import _kernel
+from ._kernel import post_table, predecessor_index, rank_table
 from .core import Cover, FeatureUniverse
 from .errors import (
     SizeGuardError,
@@ -99,8 +99,8 @@ class PlanningProblem:
     @cached_property
     def _tables(self):
         """The kernel's per-problem tables: ``post`` and its predecessor index."""
-        post = _kernel.post_table(self.universe.n, self.transitions)
-        return post, _kernel.predecessor_index(self.universe.n, len(self.actions), post)
+        post = post_table(self.universe.n, self.transitions)
+        return post, predecessor_index(self.universe.n, len(self.actions), post)
 
     @property
     def initial_states(self) -> Belief:
@@ -186,7 +186,7 @@ def _check_pair(p: PlanningProblem, c: Cover) -> None:
 
 def _ranks(p: PlanningProblem, c: Cover, until: int = 0) -> list[int]:
     post, index = p._tables
-    return _kernel.rank_table(p.universe.n, p.goal, c.masks, len(p.actions), post, index, until)
+    return rank_table(p.universe.n, p.goal, c.masks, len(p.actions), post, index, until)
 
 
 class _WinningBeliefs(Set):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .core import Cover
 from .errors import UniverseMismatchError, ValidationError
-from .star import class_members
 
 __all__ = ["ComplianceReport", "Stipulation", "class_compliance_report", "complies"]
 
@@ -80,6 +79,8 @@ class ComplianceReport:
 
 def class_compliance_report(c: Cover, s: Stipulation, *, limit: int = 20) -> ComplianceReport:
     """Partition the star class of ``c`` by compliance with ``s``."""
+    from .star import class_members
+
     members = sorted(class_members(c, limit=limit), key=lambda m: m.canonical_key)
     good = tuple(m for m in members if complies(m, s))
     bad = tuple(m for m in members if not complies(m, s))

@@ -1,0 +1,148 @@
+"""Import behaviour: a lazy package namespace and a CLI that loads only what it uses.
+
+Every check that looks at ``sys.modules`` runs in a fresh interpreter, since
+this test process has long since loaded the whole package.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cover_lattice
+from cover_lattice import run_cli
+
+SRC = Path(cover_lattice.__file__).parent
+SUBMODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__"))
+
+# Layers none of the cheap subcommands below may load, nor ``dataclasses``
+# (which brings ``inspect``).
+HEAVY = {f"cover_lattice.{m}" for m in ("planning", "star", "enumeration", "stipulations", "_kernel")}
+
+# Runs ``python -m cover_lattice ARGV...`` the way ``-m`` does, then writes
+# the names in ``sys.modules`` to the file named by the first argument.
+PROBE = """
+import runpy, sys
+out, sys.argv = sys.argv[1], ["cover_lattice", *sys.argv[2:]]
+try:
+    runpy.run_module("cover_lattice", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    status = exc.code
+sys.stdout.flush()
+import json
+with open(out, "w", encoding="utf-8") as fh:
+    json.dump({"status": status, "modules": sorted(sys.modules)}, fh)
+"""
+
+
+def python(*args):
+    """Run a fresh interpreter that imports this package from the tree under test."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}
+    )
+
+
+@pytest.fixture()
+def docs(tmp_path):
+    paths = {}
+    for name, doc in {
+        "a": {"universe": ["1", "2", "3"], "cover": [["1", "2"], ["2", "3"]]},
+        "b": {"universe": ["1", "2", "3"], "cover": [["1"], ["2", "3"]]},
+        "u": {"universe": ["1", "2", "3"]},
+    }.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [("compare", "ab"), ("meet", "ab"), ("join", "ab"), ("validate", "au")],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cheap_subcommand_loads_no_heavy_layer(command, inputs, fmt, docs, tmp_path, capsys):
+    argv = [command, "--format", fmt]
+    for key in inputs:
+        argv += ["--input", docs[key]]
+    record = tmp_path / "modules.json"
+    proc = python("-c", PROBE, str(record), *argv)
+    assert proc.stderr == b""
+    seen = json.loads(record.read_text(encoding="utf-8"))
+    loaded = set(seen["modules"])
+    assert not loaded & HEAVY
+    assert "dataclasses" not in loaded
+
+    status = run_cli(argv)
+    assert seen["status"] == status == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+def test_bare_import_loads_no_submodule():
+    proc = python("-c", "import json, sys, cover_lattice; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = [m for m in json.loads(proc.stdout) if m.startswith("cover_lattice")]
+    assert loaded == ["cover_lattice"]
+
+
+NAMESPACE_CHECKS = {
+    "attributes": f"""
+import cover_lattice
+for name in cover_lattice.__all__ + {SUBMODULES!r}:
+    getattr(cover_lattice, name)
+assert cover_lattice.cli.run_cli is cover_lattice.run_cli
+""",
+    "star_import": """
+import cover_lattice
+namespace = {}
+exec("from cover_lattice import *", namespace)
+missing = set(cover_lattice.__all__) - set(namespace)
+assert not missing, missing
+""",
+    "dir": """
+import cover_lattice
+missing = set(cover_lattice.__all__) - set(dir(cover_lattice))
+assert not missing, missing
+""",
+    "unknown_name": """
+import cover_lattice
+try:
+    cover_lattice.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("no AttributeError")
+assert not hasattr(cover_lattice, "no_such_name")
+""",
+    "kernel_backend": """
+import cover_lattice
+assert cover_lattice.KERNEL_BACKEND == "pure", cover_lattice.KERNEL_BACKEND
+""",
+}
+
+
+@pytest.mark.parametrize("check", sorted(NAMESPACE_CHECKS))
+def test_namespace_after_bare_import(check):
+    proc = python("-c", NAMESPACE_CHECKS[check])
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("module", [*SUBMODULES, "__main__"])
+def test_module_imports_first_and_alone(module):
+    """No import cycle hides behind an import order that another module sets up."""
+    proc = python("-c", f"import cover_lattice.{module}")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b""
+
+
+def test_no_relative_module_import():
+    """``from . import m`` asks the package for ``m``, which loads the whole namespace
+    in the middle of importing one layer."""
+    pattern = re.compile(r"^\s*from \. import ", re.MULTILINE)
+    offenders = [p.name for p in sorted(SRC.glob("*.py")) if pattern.search(p.read_text("utf-8"))]
+    assert offenders == []
