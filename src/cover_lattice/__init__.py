@@ -7,8 +7,8 @@ belief-space planner giving covers their operational meaning, privacy
 stipulations, exhaustive desk-scale enumeration, and a CLI with canonical
 JSON/DOT formats.
 
-``import cover_lattice`` loads no submodule.  The first access to any
-other attribute of the package (a name of ``__all__``, a submodule such as
+``import cover_lattice`` loads no submodule.  The first access to a name
+the package does not hold yet (a name of ``__all__``, a submodule such as
 ``cover_lattice.planning``, ``dir()`` or ``from cover_lattice import *``)
 imports every layer at once and binds the whole namespace, so library code
 sees the same package as an eager import would give.  ``python -m
