@@ -18,147 +18,51 @@ imports only the layers the chosen subcommand calls.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Belief",
-    "ComplianceReport",
-    "Cover",
-    "CoverLatticeError",
-    "CycleError",
-    "FeatureUniverse",
-    "KERNEL_BACKEND",
-    "OrderDiagram",
-    "PlanningProblem",
-    "Policy",
-    "PolicyFailure",
-    "RelationTag",
-    "SchemaError",
-    "SensorMap",
-    "SizeGuardError",
-    "StarClass",
-    "Stipulation",
-    "TraceStep",
-    "UniverseMismatchError",
-    "UnsolvableError",
-    "ValidationError",
-    "all_classes",
-    "all_covers",
-    "all_partitions",
-    "belief_text",
-    "canonical_masks",
-    "canonical_rep",
-    "class_compliance_report",
-    "class_members",
-    "compare",
-    "complies",
-    "cover_count",
-    "cover_text",
-    "export_dot",
-    "extract_policy",
-    "find_policy_counterexample",
-    "hasse_edges",
-    "invert_sensor_map",
-    "is_partition",
-    "iter_antichain_covers",
-    "iter_covers",
-    "iter_u_inflation",
-    "join",
-    "make_cover",
-    "make_problem",
-    "make_universe",
-    "maximal_solvable_covers",
-    "meet",
-    "parse_document",
-    "partition_slice",
-    "proceeds",
-    "quotient_meet",
-    "refines",
-    "run_cli",
-    "serialize_document",
-    "solvable",
-    "star_class",
-    "star_closure",
-    "star_equivalent",
-    "star_subsumes",
-    "subsumes",
-    "u_inflation",
-    "upper_covers",
-    "verify_policy",
-    "winning_beliefs",
-]
+# Every public name by the layer that defines it, but ``KERNEL_BACKEND``, which
+# ``_load`` binds to ``_kernel.BACKEND``.
+_EXPORTS = {
+    "core": (
+        "Cover", "FeatureUniverse", "RelationTag", "SensorMap", "invert_sensor_map",
+        "make_cover", "make_universe",
+    ),
+    "enumeration": (
+        "all_classes", "all_covers", "all_partitions", "canonical_masks", "class_count",
+        "cover_count", "hasse_edges", "iter_antichain_covers", "iter_covers",
+    ),
+    "errors": (
+        "CoverLatticeError", "CycleError", "SchemaError", "SizeGuardError",
+        "UniverseMismatchError", "UnsolvableError", "ValidationError",
+    ),
+    "formats": ("belief_text", "cover_text", "export_dot", "parse_document", "serialize_document"),
+    "order": (
+        "compare", "iter_u_inflation", "join", "meet", "subsumes", "u_inflation", "upper_covers",
+    ),
+    "planning": (
+        "Belief", "PlanningProblem", "Policy", "PolicyFailure", "TraceStep", "extract_policy",
+        "find_policy_counterexample", "make_problem", "maximal_solvable_covers", "solvable",
+        "verify_policy", "winning_beliefs",
+    ),
+    "star": (
+        "OrderDiagram", "StarClass", "canonical_rep", "class_members", "is_partition",
+        "partition_slice", "proceeds", "quotient_meet", "refines", "star_class", "star_closure",
+        "star_equivalent", "star_subsumes",
+    ),
+    "stipulations": ("ComplianceReport", "Stipulation", "class_compliance_report", "complies"),
+    "cli": ("run_cli",),
+}
+
+__all__ = sorted(["KERNEL_BACKEND", *(name for names in _EXPORTS.values() for name in names)])
 
 
 def _load() -> None:
     """Import every layer and bind its public names in this namespace."""
-    from ._kernel import BACKEND as KERNEL_BACKEND
-    from .core import (
-        Cover,
-        FeatureUniverse,
-        RelationTag,
-        SensorMap,
-        invert_sensor_map,
-        make_cover,
-        make_universe,
-    )
-    from .enumeration import (
-        all_classes,
-        all_covers,
-        all_partitions,
-        canonical_masks,
-        class_count,
-        cover_count,
-        hasse_edges,
-        iter_antichain_covers,
-        iter_covers,
-    )
-    from .errors import (
-        CoverLatticeError,
-        CycleError,
-        SchemaError,
-        SizeGuardError,
-        UniverseMismatchError,
-        UnsolvableError,
-        ValidationError,
-    )
-    from .formats import (
-        belief_text,
-        cover_text,
-        export_dot,
-        parse_document,
-        serialize_document,
-    )
-    from .order import compare, iter_u_inflation, join, meet, subsumes, u_inflation, upper_covers
-    from .planning import (
-        Belief,
-        PlanningProblem,
-        Policy,
-        PolicyFailure,
-        TraceStep,
-        extract_policy,
-        find_policy_counterexample,
-        make_problem,
-        maximal_solvable_covers,
-        solvable,
-        verify_policy,
-        winning_beliefs,
-    )
-    from .star import (
-        OrderDiagram,
-        StarClass,
-        canonical_rep,
-        class_members,
-        is_partition,
-        partition_slice,
-        proceeds,
-        quotient_meet,
-        refines,
-        star_class,
-        star_closure,
-        star_equivalent,
-        star_subsumes,
-    )
-    from .stipulations import ComplianceReport, Stipulation, class_compliance_report, complies
-    from .cli import run_cli
-    globals().update(locals())
+    from importlib import import_module
+
+    namespace = globals()
+    for module, names in _EXPORTS.items():
+        layer = import_module(f"{__name__}.{module}")
+        namespace.update((name, getattr(layer, name)) for name in names)
+    namespace["KERNEL_BACKEND"] = import_module(f"{__name__}._kernel").BACKEND
 
 
 def __getattr__(name: str):

@@ -8,7 +8,6 @@ errors.  All output is deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -33,66 +32,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-SUBCOMMANDS = (
-    "validate",
-    "invert",
-    "compare",
-    "meet",
-    "join",
-    "star",
-    "class",
-    "members",
-    "proceeds",
-    "enumerate",
-    "classes",
-    "partitions",
-    "hasse",
-    "solve",
-    "policy",
-    "search-sensors",
-    "stipulation",
-    "class-report",
-)
-
 
 class UsageError(Exception):
-    """Bad invocation: wrong input kinds, unsupported format, unreadable file."""
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--input", action="append", default=[], metavar="FILE", help="input document (repeatable)"
-    )
-    common.add_argument("--format", choices=["json", "dot", "text"], default="text")
-    common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    common.add_argument(
-        "--max-n", type=int, dest="max_n", metavar="INT",
-        help="universe size for enumeration commands; also lifts the size guards",
-    )
-    common.add_argument(
-        "--order", choices=["subsumption", "star", "proceeds"], default="subsumption"
-    )
-    parser = argparse.ArgumentParser(
-        prog="cover-lattice",
-        description="Sensor covers: subsumption semilattice, star quotient, belief planning.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        sub.add_parser(name, parents=[common])
-    return parser
-
-
-def _effective_max_n(args) -> int | None:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get("COVER_LATTICE_MAX_N")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"COVER_LATTICE_MAX_N must be an integer, got {env!r}") from None
-    return None
+    """Bad invocation: wrong input kinds, no universe size, unreadable file."""
 
 
 def _load_inputs(args) -> list:
@@ -142,17 +84,12 @@ def _universe_arg(docs, args) -> FeatureUniverse:
     for d in docs:
         if isinstance(d, FeatureUniverse):
             return d
-    n = _effective_max_n(args)
+    n = args.max_n
     if n is None:
         raise UsageError("provide a universe input or --max-n N")
     if n < 1:
         raise UsageError("--max-n must be at least 1")
     return make_universe([str(i + 1) for i in range(n)])
-
-
-def _no_dot(args) -> None:
-    if args.format == "dot":
-        raise UsageError("--format dot is only supported by 'hasse' and 'partitions'")
 
 
 def _cover_out(c: Cover, args) -> str:
@@ -181,7 +118,6 @@ def _kind_name(doc) -> str:
 
 
 def _cmd_validate(args, docs):
-    _no_dot(args)
     if not docs:
         raise UsageError("validate needs at least one --input FILE")
     kinds = [_kind_name(d) for d in docs]
@@ -191,13 +127,11 @@ def _cmd_validate(args, docs):
 
 
 def _cmd_invert(args, docs):
-    _no_dot(args)
     sensor = _pick(docs, SensorMap, "sensor-map")
     return _cover_out(invert_sensor_map(sensor), args), EXIT_OK
 
 
 def _cmd_compare(args, docs):
-    _no_dot(args)
     from .order import compare
 
     a, b = _two_covers(docs)
@@ -208,7 +142,6 @@ def _cmd_compare(args, docs):
 
 
 def _cmd_meet(args, docs):
-    _no_dot(args)
     from .order import meet
 
     a, b = _two_covers(docs)
@@ -216,7 +149,6 @@ def _cmd_meet(args, docs):
 
 
 def _cmd_join(args, docs):
-    _no_dot(args)
     from .order import join
 
     a, b = _two_covers(docs)
@@ -228,14 +160,12 @@ def _cmd_join(args, docs):
 
 
 def _cmd_star(args, docs):
-    _no_dot(args)
     from .star import star_closure
 
     return _cover_out(star_closure(_one_cover(docs)), args), EXIT_OK
 
 
 def _cmd_class(args, docs):
-    _no_dot(args)
     from .star import star_class
 
     sc = star_class(_one_cover(docs))
@@ -248,7 +178,6 @@ def _cmd_class(args, docs):
 
 
 def _cmd_members(args, docs):
-    _no_dot(args)
     from .star import class_members
 
     cover = _one_cover(docs)
@@ -259,7 +188,6 @@ def _cmd_members(args, docs):
 
 
 def _cmd_proceeds(args, docs):
-    _no_dot(args)
     from .star import proceeds
 
     a, b = _two_covers(docs)
@@ -270,22 +198,20 @@ def _cmd_proceeds(args, docs):
 
 
 def _cmd_enumerate(args, docs):
-    _no_dot(args)
     from .enumeration import all_covers, cover_count
 
     universe = _universe_arg(docs, args)
-    limit = _effective_max_n(args)
+    limit = args.max_n
     if args.format == "json":
         return json_text(covers_doc(universe, list(all_covers(universe, limit=limit)))), EXIT_OK
     return f"{cover_count(universe, limit=limit)}\n", EXIT_OK
 
 
 def _cmd_classes(args, docs):
-    _no_dot(args)
     from .enumeration import all_classes, class_count
 
     universe = _universe_arg(docs, args)
-    limit = _effective_max_n(args)
+    limit = args.max_n
     if args.format == "json":
         classes = sorted(
             all_classes(universe, limit=limit), key=lambda sc: sc.representative.canonical_key
@@ -296,11 +222,12 @@ def _cmd_classes(args, docs):
 
 def _cmd_partitions(args, docs):
     from .enumeration import all_partitions
-    from .star import partition_slice
 
     universe = _universe_arg(docs, args)
-    limit = _effective_max_n(args)
+    limit = args.max_n
     if args.format == "dot":
+        from .star import partition_slice
+
         diagram = partition_slice(universe, limit=limit)
         return export_dot(diagram.nodes, diagram.edges, name="partitions"), EXIT_OK
     parts = all_partitions(universe, limit=limit)
@@ -330,7 +257,6 @@ def _cmd_hasse(args, docs):
 
 
 def _cmd_solve(args, docs):
-    _no_dot(args)
     from .planning import PlanningProblem, solvable
 
     problem = _pick(docs, PlanningProblem, "problem")
@@ -342,7 +268,6 @@ def _cmd_solve(args, docs):
 
 
 def _cmd_policy(args, docs):
-    _no_dot(args)
     from .planning import PlanningProblem, extract_policy
 
     problem = _pick(docs, PlanningProblem, "problem")
@@ -355,20 +280,16 @@ def _cmd_policy(args, docs):
 
 
 def _cmd_search_sensors(args, docs):
-    _no_dot(args)
     from .planning import PlanningProblem, maximal_solvable_covers
 
     problem = _pick(docs, PlanningProblem, "problem")
-    found = _sorted_covers(
-        maximal_solvable_covers(problem, limit=_effective_max_n(args))
-    )
+    found = _sorted_covers(maximal_solvable_covers(problem, limit=args.max_n))
     if args.format == "json":
         return json_text(covers_doc(problem.universe, found)), EXIT_OK
     return "".join(cover_text(c) + "\n" for c in found), EXIT_OK
 
 
 def _cmd_stipulation(args, docs):
-    _no_dot(args)
     from .stipulations import Stipulation, complies
 
     cover = _one_cover(docs)
@@ -380,7 +301,6 @@ def _cmd_stipulation(args, docs):
 
 
 def _cmd_class_report(args, docs):
-    _no_dot(args)
     from .stipulations import Stipulation, class_compliance_report
 
     cover = _one_cover(docs)
@@ -398,26 +318,65 @@ def _cmd_class_report(args, docs):
     return "".join(line + "\n" for line in lines), EXIT_OK
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "invert": _cmd_invert,
-    "compare": _cmd_compare,
-    "meet": _cmd_meet,
-    "join": _cmd_join,
-    "star": _cmd_star,
-    "class": _cmd_class,
-    "members": _cmd_members,
-    "proceeds": _cmd_proceeds,
-    "enumerate": _cmd_enumerate,
-    "classes": _cmd_classes,
-    "partitions": _cmd_partitions,
-    "hasse": _cmd_hasse,
-    "solve": _cmd_solve,
-    "policy": _cmd_policy,
-    "search-sensors": _cmd_search_sensors,
-    "stipulation": _cmd_stipulation,
-    "class-report": _cmd_class_report,
+# The flags a subcommand may read beyond --input, --format and --out.
+FLAGS = {
+    "--max-n": dict(
+        type=int, dest="max_n", metavar="INT",
+        help="lifts the size guards; also the universe size when no universe is input",
+    ),
+    # The keys of enumeration.ORDERS, which cli does not import at start-up.
+    "--order": dict(choices=["proceeds", "star", "subsumption"], default="subsumption"),
 }
+
+PLAIN = ("json", "text")
+DRAWN = ("json", "dot", "text")
+
+# One row per subcommand: its handler, the --format values it renders and the
+# FLAGS it reads.  A subcommand accepts no flag that it does not read.
+COMMANDS = {
+    "validate": (_cmd_validate, PLAIN, ()),
+    "invert": (_cmd_invert, PLAIN, ()),
+    "compare": (_cmd_compare, PLAIN, ()),
+    "meet": (_cmd_meet, PLAIN, ()),
+    "join": (_cmd_join, PLAIN, ()),
+    "star": (_cmd_star, PLAIN, ()),
+    "class": (_cmd_class, PLAIN, ()),
+    "members": (_cmd_members, PLAIN, ()),
+    "proceeds": (_cmd_proceeds, PLAIN, ()),
+    "enumerate": (_cmd_enumerate, PLAIN, ("--max-n",)),
+    "classes": (_cmd_classes, PLAIN, ("--max-n",)),
+    "partitions": (_cmd_partitions, DRAWN, ("--max-n",)),
+    "hasse": (_cmd_hasse, DRAWN, ("--order",)),
+    "solve": (_cmd_solve, PLAIN, ()),
+    "policy": (_cmd_policy, PLAIN, ()),
+    "search-sensors": (_cmd_search_sensors, PLAIN, ("--max-n",)),
+    "stipulation": (_cmd_stipulation, PLAIN, ()),
+    "class-report": (_cmd_class_report, PLAIN, ()),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cover-lattice",
+        description="Sensor covers: subsumption semilattice, star quotient, belief planning.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    # Subcommands that render the same formats share their first three flags:
+    # copying a parent's flags costs less than adding them again.
+    shared = {}
+    for name, (_, formats, flags) in COMMANDS.items():
+        if formats not in shared:
+            shared[formats] = common = argparse.ArgumentParser(add_help=False)
+            common.add_argument(
+                "--input", action="append", default=[], metavar="FILE",
+                help="input document (repeatable)",
+            )
+            common.add_argument("--format", choices=formats, default="text")
+            common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+        cmd = sub.add_parser(name, parents=[shared[formats]])
+        for flag in flags:
+            cmd.add_argument(flag, **FLAGS[flag])
+    return parser
 
 
 def run_cli(argv: Sequence[str]) -> int:
@@ -429,7 +388,7 @@ def run_cli(argv: Sequence[str]) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         docs = _load_inputs(args)
-        text, status = _HANDLERS[args.command](args, docs)
+        text, status = COMMANDS[args.command][0](args, docs)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

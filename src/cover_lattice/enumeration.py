@@ -7,20 +7,17 @@ keep the candidate counts in the tens of thousands.
 
 from __future__ import annotations
 
+from importlib import import_module
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import Cover, FeatureUniverse, bits, preimage_key
-from .errors import (
-    CycleError,
-    SizeGuardError,
-    UniverseMismatchError,
-    ValidationError,
-    guard_features,
-)
-from .order import subsumes
-from .star import StarClass, proceeds, star_closure, star_subsumes
+from .errors import CycleError, SizeGuardError, ValidationError, guard_features
+from .order import distinct_covers
+
+if TYPE_CHECKING:  # all_classes imports star when it runs
+    from .star import StarClass
 
 __all__ = [
     "all_classes",
@@ -41,10 +38,12 @@ COUNT_LIMIT = 13
 CLASS_ENUM_LIMIT = 4
 PARTITION_ENUM_LIMIT = 8
 
+# The orders hasse_edges draws, each as the layer and name of its relation, so
+# that star loads only when one of its orders is drawn.
 ORDERS = {
-    "subsumption": subsumes,
-    "star": star_subsumes,
-    "proceeds": proceeds,
+    "subsumption": ("order", "subsumes"),
+    "star": ("star", "star_subsumes"),
+    "proceeds": ("star", "proceeds"),
 }
 
 
@@ -131,6 +130,8 @@ def all_classes(universe: FeatureUniverse, *, limit: int | None = None) -> set[S
     inclusion-maximal pre-images of any member: a covering antichain.  So
     the classes are exactly the covering antichains, one closure each.
     """
+    from .star import StarClass, star_closure
+
     guard_features("class enumeration", universe.n, limit, CLASS_ENUM_LIMIT)
     return {StarClass(rep, star_closure(rep)) for rep in iter_antichain_covers(universe)}
 
@@ -183,18 +184,13 @@ def hasse_edges(items: Iterable[Cover], order: str = "subsumption") -> set[tuple
     ``CycleError`` with the witness attached.
     """
     try:
-        rel = ORDERS[order]
+        layer, name = ORDERS[order]
     except KeyError:
         raise ValidationError(
             f"unknown order {order!r}; choose from {sorted(ORDERS)}"
         ) from None
-    nodes = list(dict.fromkeys(items))
-    if not nodes:
-        return set()
-    universe = nodes[0].universe
-    for c in nodes[1:]:
-        if c.universe != universe:
-            raise UniverseMismatchError("covers are over different universes")
+    rel = getattr(import_module(f"{__package__}.{layer}"), name)
+    nodes = distinct_covers(items)
     k = len(nodes)
     rows = []
     for i in range(k):

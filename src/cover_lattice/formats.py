@@ -158,29 +158,26 @@ def _parse_stipulation(doc: dict) -> Stipulation:
     return Stipulation(frozenset(sensitive), k)
 
 
-# The key that names each layout; a document may carry at most one of them.
-# A document with none of them but ``universe`` is a universe.
-_LAYOUT_PARSERS = {
-    "sensitive": _parse_stipulation,
-    "states": _parse_problem,
-    "readings": _parse_sensor_map,
-    "cover": _parse_cover,
-    "covers": _parse_cover_list,
-}
-
-# The keys each layout may carry, by the key that names it.  A universe
-# document also carries the keys of ``class_doc``, ``classes_doc`` and
-# ``class_report_doc`` below, so their output can name the universe of a
+# Each layout by the key that names it: its parser and the keys it may carry.
+# A document may carry at most one of the naming keys, which are scanned in
+# this order; a document with none of them but ``universe`` is a universe.
+# A universe document also carries the keys of ``class_doc``, ``classes_doc``
+# and ``class_report_doc`` below, so their output can name the universe of a
 # later command.
-_LAYOUT_KEYS = {
-    "sensitive": frozenset({"sensitive", "max_resolution"}),
-    "states": frozenset({"states", "actions", "transition", "initial", "goal"}),
-    "readings": frozenset({"universe", "readings"}),
-    "cover": frozenset({"universe", "cover", "labels"}),
-    "covers": frozenset({"universe", "covers", "count"}),
-    "universe": frozenset(
-        {"universe", "representative", "closure", "count", "classes", "compliant",
-         "non_compliant", "witness"}
+_LAYOUTS = {
+    "sensitive": (_parse_stipulation, frozenset({"sensitive", "max_resolution"})),
+    "states": (
+        _parse_problem, frozenset({"states", "actions", "transition", "initial", "goal"})
+    ),
+    "readings": (_parse_sensor_map, frozenset({"universe", "readings"})),
+    "cover": (_parse_cover, frozenset({"universe", "cover", "labels"})),
+    "covers": (_parse_cover_list, frozenset({"universe", "covers", "count"})),
+    "universe": (
+        _universe_of,
+        frozenset(
+            {"universe", "representative", "closure", "count", "classes", "compliant",
+             "non_compliant", "witness"}
+        ),
     ),
 }
 
@@ -202,17 +199,17 @@ def parse_document(text: str):
         raise SchemaError("$", "invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be a JSON object")
-    keys = [k for k in _LAYOUT_PARSERS if k in doc]
+    keys = [k for k in _LAYOUTS if k != "universe" and k in doc]
     if len(keys) > 1:
         raise SchemaError("$", f"ambiguous document layout: keys {', '.join(keys)}")
     layout = keys[0] if keys else "universe"
     if layout not in doc:
         raise SchemaError("$", "unrecognized document layout")
-    allowed = _LAYOUT_KEYS[layout]
+    parse, allowed = _LAYOUTS[layout]
     for key in doc:
         if key not in allowed:
             raise SchemaError(f"$.{key}", "unknown key")
-    return _LAYOUT_PARSERS.get(layout, _universe_of)(doc)
+    return parse(doc)
 
 
 # ---------------------------------------------------------------------------

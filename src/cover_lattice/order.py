@@ -31,6 +31,15 @@ def _check_universes(a: Cover, b: Cover) -> None:
         raise UniverseMismatchError("covers are over different universes")
 
 
+def distinct_covers(covers: Iterable[Cover]) -> list[Cover]:
+    """``covers`` without repeats, in first-seen order, all over one universe."""
+    items = list(dict.fromkeys(covers))
+    for c in items[1:]:
+        if c.universe != items[0].universe:
+            raise UniverseMismatchError("covers are over different universes")
+    return items
+
+
 def subsumes(a: Cover, b: Cover) -> bool:
     """True iff ``a``'s pre-images are a sub-collection of ``b``'s."""
     _check_universes(a, b)
@@ -82,13 +91,7 @@ def upper_covers(covers: Iterable[Cover]) -> set[Cover]:
     These are the members that are not a proper sub-collection of any other
     member; in diagram orientation they bound the set from below.
     """
-    items = list(dict.fromkeys(covers))
-    if not items:
-        return set()
-    universe = items[0].universe
-    for c in items[1:]:
-        if c.universe != universe:
-            raise UniverseMismatchError("covers are over different universes")
+    items = distinct_covers(covers)
     # Index every pre-image in play so each cover becomes one int; subset
     # tests then run on machine words instead of frozensets.
     bit = {m: i for i, m in enumerate(sorted({m for c in items for m in c.masks}))}

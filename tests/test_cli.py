@@ -3,6 +3,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -428,11 +429,6 @@ class TestEnumeration:
         status, _, _ = invoke(capsys, "enumerate")
         assert status == 2
 
-    def test_enumerate_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("COVER_LATTICE_MAX_N", "2")
-        status, out, _ = invoke(capsys, "enumerate")
-        assert status == 0 and out == "5\n"
-
     def test_enumerate_text_counts_without_listing(self, capsys):
         status, out, _ = invoke(capsys, "enumerate", "--max-n", "5")
         assert status == 0 and out == "2147321017\n"
@@ -614,11 +610,6 @@ class TestDeterminism:
         runs = {invoke(capsys, "solve", "--input", junction_doc, "--input", cov) for _ in range(3)}
         assert len(runs) == 1
 
-    def test_dot_unsupported_elsewhere(self, capsys, files):
-        cov = files("c.json", cover_doc("12", "12"))
-        status, _, _ = invoke(capsys, "star", "--input", cov, "--format", "dot")
-        assert status == 2
-
 
 class TestEntryPoints:
     def test_seed_flag_rejected(self, capsys):
@@ -644,15 +635,32 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == "109\n"
 
-    def test_console_script_if_installed(self):
-        import shutil
+    def test_console_script_target(self):
+        import re
         import subprocess
 
-        exe = shutil.which("cover-lattice")
-        if exe is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run([exe, "partitions", "--max-n", "4"], capture_output=True, text=True)
-        assert proc.returncode == 0
+        import cover_lattice
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = re.search(
+            r'^cover-lattice = "([\w.]+):(\w+)"$', pyproject.read_text("utf-8"), re.MULTILINE
+        )
+        assert target is not None
+        module, function = target.groups()
+        # What the installed script does: import the target and call it.
+        script = (
+            f"import sys; from {module} import {function}; "
+            f"sys.argv = ['cover-lattice', 'partitions', '--max-n', '4']; {function}()"
+        )
+        src = os.path.dirname(os.path.dirname(cover_lattice.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "15\n"
 
 
@@ -691,16 +699,69 @@ class TestBoundPlumbing:
         assert "cover search" in err
 
 
-class TestHelpWiring:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "validate", "invert", "compare", "meet", "join", "star", "class",
-            "members", "proceeds", "enumerate", "classes", "partitions",
-            "hasse", "solve", "policy", "search-sensors", "stipulation",
-            "class-report",
-        ],
+COMMAND_NAMES = [
+    "validate", "invert", "compare", "meet", "join", "star", "class",
+    "members", "proceeds", "enumerate", "classes", "partitions",
+    "hasse", "solve", "policy", "search-sensors", "stipulation",
+    "class-report",
+]
+
+# The flags beyond --input, --format text|json and --out that some subcommands
+# read, and the subcommands that read each.
+EXTRA_FLAGS = {
+    "order": (["--order", "star"], {"hasse"}),
+    "max-n": (["--max-n", "4"], {"enumerate", "classes", "partitions", "search-sensors"}),
+    "dot": (["--format", "dot"], {"hasse", "partitions"}),
+}
+
+
+@pytest.fixture()
+def valid_argv(files, gps_map, junction_doc):
+    """An invocation of each subcommand that exits 0."""
+    cov = files("c.json", cover_doc("1234", "14", "23"))
+    other = files("o.json", cover_doc("1234", "1234", "14"))
+    universe = files("u.json", {"universe": ["1", "2", "3"]})
+    chain = files(
+        "chain.json", {"universe": ["1", "2"], "covers": [[["1", "2"]], [["1"], ["1", "2"]]]}
     )
+    stip = files("s.json", {"sensitive": ["1"]})
+    inputs = {
+        "validate": [cov], "invert": [gps_map], "compare": [cov, other], "meet": [cov, other],
+        "join": [cov, other], "star": [cov], "class": [cov], "members": [cov],
+        "proceeds": [cov, other], "enumerate": [universe], "classes": [universe],
+        "partitions": [universe], "hasse": [chain], "solve": [junction_doc, cov],
+        "policy": [junction_doc, cov], "search-sensors": [junction_doc],
+        "stipulation": [other, stip], "class-report": [cov, stip],
+    }
+    return {
+        name: [name, *(arg for path in paths for arg in ("--input", path))]
+        for name, paths in inputs.items()
+    }
+
+
+class TestFlags:
+    """A subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "name, flag",
+        [(n, f) for n in COMMAND_NAMES for f, (_, reads) in EXTRA_FLAGS.items() if n not in reads],
+    )
+    def test_unread_flag_is_usage_error(self, capsys, valid_argv, name, flag):
+        argv = valid_argv[name]
+        assert invoke(capsys, *argv)[0] == 0
+        status, out, err = invoke(capsys, *argv, *EXTRA_FLAGS[flag][0])
+        assert status == 2 and out == ""
+        assert err.startswith("usage: cover-lattice")
+
+    def test_order_choices(self):
+        from cover_lattice.cli import FLAGS
+        from cover_lattice.enumeration import ORDERS
+
+        assert FLAGS["--order"]["choices"] == sorted(ORDERS)
+
+
+class TestHelpWiring:
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
     def test_subcommand_help(self, capsys, name):
         status, out, _ = invoke(capsys, name, "--help")
         assert status == 0

@@ -70,17 +70,30 @@ def test_cheap_subcommand_loads_no_heavy_layer(command, inputs, fmt, docs, tmp_p
     argv = [command, "--format", fmt]
     for key in inputs:
         argv += ["--input", docs[key]]
+    loaded = probe(argv, tmp_path, capsys)
+    assert not loaded & HEAVY
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_loads_no_star(fmt, tmp_path, capsys):
+    loaded = probe(["enumerate", "--max-n", "3", "--format", fmt], tmp_path, capsys)
+    assert "cover_lattice.enumeration" in loaded
+    assert "cover_lattice.star" not in loaded
+    assert "dataclasses" not in loaded
+
+
+def probe(argv, tmp_path, capsys) -> set[str]:
+    """Run ``argv`` in a fresh interpreter, check it answers as ``run_cli`` does with
+    exit 0, and return the modules it loaded."""
     record = tmp_path / "modules.json"
     proc = python("-c", PROBE, str(record), *argv)
     assert proc.stderr == b""
     seen = json.loads(record.read_text(encoding="utf-8"))
-    loaded = set(seen["modules"])
-    assert not loaded & HEAVY
-    assert "dataclasses" not in loaded
-
     status = run_cli(argv)
     assert seen["status"] == status == 0
     assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+    return set(seen["modules"])
 
 
 def test_bare_import_loads_no_submodule():
@@ -130,6 +143,20 @@ assert cover_lattice.KERNEL_BACKEND == "pure", cover_lattice.KERNEL_BACKEND
 def test_namespace_after_bare_import(check):
     proc = python("-c", NAMESPACE_CHECKS[check])
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_every_public_name_is_exported():
+    check = """
+import json, types, cover_lattice
+dir(cover_lattice)
+print(json.dumps(sorted(
+    name for name, value in vars(cover_lattice).items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)))
+"""
+    proc = python("-c", check)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == sorted(cover_lattice.__all__)
 
 
 @pytest.mark.parametrize("module", [*SUBMODULES, "__main__"])
