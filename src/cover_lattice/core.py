@@ -8,6 +8,8 @@ map from mask to reading label for the pre-images whose reading is named;
 the names never take part in comparisons.  ``FeatureUniverse.labels_of`` and
 ``FeatureUniverse.belief_of`` turn a bitmask back into labels, as a tuple in
 index order and as a frozenset, from per-byte lookup tables.
+``FeatureUniverse.sort_key`` gives each subset an int that sorts in canonical
+order, and ``FeatureUniverse.canonical_masks`` lists every subset in that order.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ def preimage_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), bits(mask))
 
 
+# Byte b with its eight bits in reverse order.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 class FeatureUniverse:
     """Ordered set of distinct world-feature labels.
 
@@ -58,7 +64,7 @@ class FeatureUniverse:
     concatenation or frozenset union, not a walk over its bits.
     """
 
-    __slots__ = ("labels", "_index", "_byte_labels", "_byte_beliefs")
+    __slots__ = ("labels", "_index", "_byte_labels", "_byte_beliefs", "_key_bytes", "_canonical")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -75,6 +81,8 @@ class FeatureUniverse:
         self._index = index
         self._byte_labels = None
         self._byte_beliefs = None
+        self._key_bytes = (len(labels) + 7) // 8
+        self._canonical = None
 
     @property
     def n(self) -> int:
@@ -115,6 +123,33 @@ class FeatureUniverse:
             i += 1
             belief = belief | tables[i][mask & 0xFF]
         return belief
+
+    def sort_key(self, mask: int) -> int:
+        """An int that orders subsets as ``preimage_key`` does.
+
+        Among subsets of one cardinality, ``preimage_key`` puts first the one
+        that holds the lowest feature where two subsets differ.  Reversing the
+        bits makes that feature the most significant, so the key is the
+        cardinality above the complement of the reversed mask.
+        """
+        width = self._key_bytes
+        reversed_bytes = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
+        reversed_mask = int.from_bytes(reversed_bytes, "big")
+        shift = 8 * width
+        return (mask.bit_count() << shift) | (reversed_mask ^ ((1 << shift) - 1))
+
+    @property
+    def canonical_masks(self) -> tuple[int, ...]:
+        """Every non-empty subset in canonical order, built once per universe.
+
+        The singletons come first, in index order.  The table holds
+        ``2**n - 1`` ints, so it suits the small universes that enumeration
+        and sensor search accept.
+        """
+        table = self._canonical
+        if table is None:
+            table = self._canonical = tuple(sorted(range(1, 1 << self.n), key=self.sort_key))
+        return table
 
     def _build_byte_labels(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
         # Table j maps byte j of a mask to the labels of its set bits; the top
@@ -194,14 +229,19 @@ class Cover:
         self._closure = None
 
     @classmethod
-    def _from_canonical(cls, universe: FeatureUniverse, masks: tuple[int, ...]) -> "Cover":
-        # Trusted fast path for enumeration: masks already distinct, non-empty,
-        # covering, and in canonical order.
+    def _from_canonical(
+        cls,
+        universe: FeatureUniverse,
+        masks: tuple[int, ...],
+        labels: Mapping[int, str] = _NO_LABELS,
+    ) -> "Cover":
+        # Trusted fast path: masks already distinct, non-empty, covering, and in
+        # canonical order; labels already read-only and keyed by masks present.
         c = cls.__new__(cls)
         c.universe = universe
         c.masks = masks
         c.mask_set = frozenset(masks)
-        c.labels = _NO_LABELS
+        c.labels = labels
         c._key = None
         c._hash = None
         c._closure = None

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Cover, FeatureUniverse, bits, preimage_key
+from .core import Cover, FeatureUniverse, bits
 from .errors import CycleError, SizeGuardError, ValidationError, guard_features
 from .order import distinct_covers
 
@@ -49,7 +49,7 @@ ORDERS = {
 
 def canonical_masks(universe: FeatureUniverse) -> tuple[int, ...]:
     """Every non-empty feature subset, in canonical (cardinality, index) order."""
-    return tuple(sorted(range(1, universe.full_mask + 1), key=preimage_key))
+    return universe.canonical_masks
 
 
 def iter_covers(universe: FeatureUniverse, *, unbounded: bool = False) -> Iterator[Cover]:

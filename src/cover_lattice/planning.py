@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
 from ._kernel import post_table, predecessor_index, rank_table
-from .core import Cover, FeatureUniverse
+from .core import Cover, FeatureUniverse, bits
 from .errors import (
     SizeGuardError,
     UniverseMismatchError,
@@ -23,8 +23,6 @@ from .errors import (
     ValidationError,
     guard_features,
 )
-from .order import upper_covers
-from .star import star_closure
 
 __all__ = [
     "Belief",
@@ -178,6 +176,10 @@ class PolicyFailure:
 def _check_pair(p: PlanningProblem, c: Cover) -> None:
     if p.universe != c.universe:
         raise UniverseMismatchError("cover and problem are over different universes")
+    _check_states(p)
+
+
+def _check_states(p: PlanningProblem) -> None:
     if p.universe.n > MAX_STATES:
         raise SizeGuardError(
             f"belief fixpoint limited to {MAX_STATES} states (got {p.universe.n})"
@@ -383,14 +385,102 @@ def maximal_solvable_covers(p: PlanningProblem, *, limit: int | None = None) -> 
     Solvability is star-invariant, and worst-case sensing only loses plans
     when readings are added, so the solvable covers are closed under
     covering sub-collections.  A maximal one therefore equals its own
-    star-closure, and the answer is the maximal closures of the solvable
-    star classes.  Each class is ranked once, on its covering-antichain
-    representative.  Applying u-inflation to the result regenerates the
-    full solvable set.
+    star-closure: a complex, a down-closed set of pre-images that holds
+    every singleton.  The solvable complexes form a down-set, and the
+    answer is its maximal elements, each returned as a closure (its own
+    ``star_closure``) without labels.  Applying u-inflation to the result
+    regenerates the full solvable set.
+
+    The search walks the border of that down-set by Dualize and Advance
+    (Gunopulos, Khardon, Mannila & Toivonen, PODS 1997).  *Grow* turns a
+    solvable complex into a maximal one in one pass over the faces in
+    canonical order: a face whose one-smaller subfaces are all present is
+    kept if the complex stays solvable.  A rejected face stays rejected,
+    since unsolvability is closed upwards.  *Dualize*: a solvable complex
+    under none of the maximal complexes M_1 ... M_k found so far holds, for
+    each i, a minimal face outside M_i.  So the candidates are the
+    singletons plus the down-closure of one such face per M_i, kept
+    inclusion-minimal as each M_i arrives (Berge's transversal product).  A
+    solvable candidate grows into M_{k+1}; when none is solvable, the border
+    is complete.  A complex is ranked on its facets, once at most, and
+    never when it contains a complex already found unsolvable.
     """
     guard_features("cover search", p.universe.n, limit, SEARCH_LIMIT)
-    from .enumeration import iter_antichain_covers
+    _check_states(p)
+    u = p.universe
+    n = u.n
+    # A complex is one int: bit i is set iff it holds face table[i].
+    table = u.canonical_masks
+    faces = range(n, len(table))  # the faces that are not singletons
+    position = dict(zip(table, range(len(table))))
+    below = [0] * len(table)  # below[i]: the one-smaller subfaces of face i
+    for i in faces:
+        f = table[i]
+        for j in bits(f):
+            below[i] |= 1 << position[f ^ 1 << j]
+    post, index = p._tables
+    unsolvable: list[int] = []
 
-    return upper_covers(
-        star_closure(rep) for rep in iter_antichain_covers(p.universe) if solvable(p, rep)
-    )
+    def solvable_complex(cx: int, facets: int) -> bool:
+        if any(bad & ~cx == 0 for bad in unsolvable):
+            return False
+        masks = tuple(table[i] for i in bits(facets))
+        if rank_table(n, p.goal, masks, len(p.actions), post, index, p.initial)[p.initial] < 0:
+            unsolvable.append(cx)
+            return False
+        return True
+
+    def facets_of(cx: int) -> int:
+        facets = cx
+        for i in bits(cx):
+            facets &= ~below[i]
+        return facets
+
+    def grow(cx: int) -> int:
+        facets = facets_of(cx)
+        for i in faces:
+            sub = below[i]
+            if cx >> i & 1 or sub & ~cx:
+                continue
+            bigger, wider = cx | 1 << i, facets & ~sub | 1 << i
+            if solvable_complex(bigger, wider):
+                cx, facets = bigger, wider
+        return cx
+
+    def down(i: int) -> int:
+        f = s = table[i]
+        cx = 0
+        while s:
+            cx |= 1 << position[s]
+            s = (s - 1) & f
+        return cx
+
+    def minimal(cxs) -> list[int]:
+        # Smallest first, so that whatever holds a kept complex comes after it.
+        kept: list[int] = []
+        for cx in sorted(set(cxs), key=int.bit_count):
+            if not any(k & ~cx == 0 for k in kept) and not any(b & ~cx == 0 for b in unsolvable):
+                kept.append(cx)
+        return kept
+
+    found: list[int] = []
+    candidates = [(1 << n) - 1]  # the singletons
+    while candidates:
+        start = candidates.pop(0)
+        if not solvable_complex(start, facets_of(start)):
+            continue
+        top = grow(start)
+        found.append(top)
+        # A candidate under top takes one minimal face outside it, with that
+        # face's subfaces; the other candidates already hold such a face.
+        outside = [down(i) for i in faces if not top >> i & 1 and not below[i] & ~top]
+        under = [cx for cx in [start, *candidates] if not cx & ~top]
+        candidates = minimal(
+            [cx for cx in candidates if cx & ~top] + [cx | d for cx in under for d in outside]
+        )
+    answers = set()
+    for top in found:
+        c = Cover._from_canonical(u, tuple(table[i] for i in bits(top)))
+        c._closure = c
+        answers.add(c)
+    return answers

@@ -7,9 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from cover_lattice import run_cli
+from cover_lattice import (
+    make_cover,
+    make_universe,
+    run_cli,
+    serialize_document,
+    solvable,
+    star_closure,
+)
+from cover_lattice.cli import _sorted_covers
+from cover_lattice.formats import covers_doc, cover_text, json_text
 
-from util import cover_count_formula
+from util import (
+    class_walk_maximal_solvable_covers,
+    cover_count_formula,
+    random_problem,
+    sparse_problem,
+)
 
 
 def invoke(capsys, *argv):
@@ -554,6 +568,47 @@ class TestPlanningCommands:
         status, out, _ = invoke(capsys, "search-sensors", "--input", problem)
         assert status == 0
         assert out == "{1}|{2}|{3}|{1,2}|{1,3}|{2,3}|{1,2,3}\n"
+
+
+class TestSearchSensors:
+    def test_six_features_need_max_n(self, capsys, files):
+        u = make_universe([str(i + 1) for i in range(6)])
+        problem = random_problem(u, 2)
+        path = files("p6.json", json.loads(serialize_document(problem)))
+        status, out, err = invoke(capsys, "search-sensors", "--input", path)
+        assert (status, out) == (1, "")
+        assert "cover search limited to 5 features (got 6)" in err
+
+        status, out, err = invoke(capsys, "search-sensors", "--input", path, "--max-n", "6")
+        assert (status, err) == (0, "")
+        found = [make_cover(u, [s.strip("{}").split(",") for s in line.split("|")])
+                 for line in out.splitlines()]
+        assert len(found) == 3
+        assert found == _sorted_covers(found)
+        for c in found:
+            assert star_closure(c) == c
+            assert solvable(problem, c)
+
+    @pytest.mark.parametrize(
+        "n, make, seed",
+        [(n, random_problem, seed) for n in (2, 3, 4, 5) for seed in (0, 2)]
+        + [(n, sparse_problem, seed) for n in (4, 5) for seed in (0, 1)],
+    )
+    def test_output_matches_class_walk(self, capsys, files, n, make, seed):
+        problem = make(make_universe([str(i + 1) for i in range(n)]), seed)
+        path = files("p.json", json.loads(serialize_document(problem)))
+        self.check_against_class_walk(capsys, problem, path)
+
+    def test_junction_output_matches_class_walk(self, capsys, junction, junction_doc):
+        self.check_against_class_walk(capsys, junction, junction_doc)
+
+    @staticmethod
+    def check_against_class_walk(capsys, problem, path):
+        expected = _sorted_covers(class_walk_maximal_solvable_covers(problem))
+        text = "".join(cover_text(c) + "\n" for c in expected)
+        assert invoke(capsys, "search-sensors", "--input", path) == (0, text, "")
+        doc = json_text(covers_doc(problem.universe, expected))
+        assert invoke(capsys, "search-sensors", "--input", path, "--format", "json") == (0, doc, "")
 
 
 class TestStipulationCommands:

@@ -10,6 +10,7 @@ from cover_lattice import (
     make_cover,
     make_universe,
 )
+from cover_lattice.core import preimage_key
 
 from util import C, as_family, brute_cover_families
 
@@ -50,6 +51,21 @@ class TestLabelTables:
         u.belief_of(5)
         assert [len(t) for t in u._byte_labels] == [256, 256, 2]
         assert [len(t) for t in u._byte_beliefs] == [256, 256, 2]
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_table_is_every_mask_by_preimage_key(self, n):
+        u = make_universe([f"f{i}" for i in range(n)])
+        assert u.canonical_masks == tuple(sorted(range(1, 1 << n), key=preimage_key))
+        assert u.canonical_masks is u.canonical_masks
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 24, 40])
+    def test_sort_key_orders_as_preimage_key(self, n):
+        u = make_universe([f"f{i}" for i in range(n)])
+        rng = random.Random(n)
+        masks = list({u.full_mask, 1, 1 << (n - 1)} | {rng.getrandbits(n) or 1 for _ in range(300)})
+        assert sorted(masks, key=u.sort_key) == sorted(masks, key=preimage_key)
 
 
 class TestMakeUniverse:

@@ -54,6 +54,19 @@ def docs(tmp_path):
         "a": {"universe": ["1", "2", "3"], "cover": [["1", "2"], ["2", "3"]]},
         "b": {"universe": ["1", "2", "3"], "cover": [["1"], ["2", "3"]]},
         "u": {"universe": ["1", "2", "3"]},
+        "junction": {
+            "states": ["1", "2", "3", "4"],
+            "actions": ["left", "right"],
+            "transition": {
+                "1": {"left": ["2"], "right": ["4"]},
+                "2": {"left": ["2"], "right": ["2"]},
+                "3": {"left": ["4"], "right": ["2"]},
+                "4": {"left": ["4"], "right": ["4"]},
+            },
+            "initial": ["1", "3"],
+            "goal": ["2"],
+        },
+        "pairs": {"universe": ["1", "2", "3", "4"], "cover": [["1", "4"], ["2", "3"]]},
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -81,6 +94,15 @@ def test_enumerate_loads_no_star(fmt, tmp_path, capsys):
     assert "cover_lattice.enumeration" in loaded
     assert "cover_lattice.star" not in loaded
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("command", ["solve", "policy"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_planning_loads_no_order_or_star(command, fmt, docs, tmp_path, capsys):
+    argv = [command, "--input", docs["junction"], "--input", docs["pairs"], "--format", fmt]
+    loaded = probe(argv, tmp_path, capsys)
+    assert "cover_lattice.planning" in loaded
+    assert not loaded & {"cover_lattice.order", "cover_lattice.star"}
 
 
 def probe(argv, tmp_path, capsys) -> set[str]:

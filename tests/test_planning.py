@@ -25,12 +25,14 @@ from cover_lattice import (
     winning_beliefs,
 )
 
+from cover_lattice import planning
 from cover_lattice._kernel import rank_table
 from cover_lattice.planning import MAX_STATES
 
 from util import (
     C,
     andor_solvable,
+    class_walk_maximal_solvable_covers,
     corridor_problem,
     exhaustive_maximal_solvable_covers,
     random_problem,
@@ -374,6 +376,51 @@ class TestMaximalSolvableCovers:
             for m in canonical_masks(u):
                 if m not in c.mask_set:
                     assert not solvable(p, Cover(u, c.masks + (m,)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("make", [random_problem, sparse_problem])
+    def test_matches_class_walk_at_five_features(self, make, seed):
+        u = make_universe([str(i + 1) for i in range(5)])
+        p = make(u, seed)
+        assert maximal_solvable_covers(p) == class_walk_maximal_solvable_covers(p)
+
+    def test_junction_matches_class_walk(self, junction):
+        assert maximal_solvable_covers(junction) == class_walk_maximal_solvable_covers(junction)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("make", [random_problem, sparse_problem])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_border_beyond_the_class_walk(self, n, make, seed):
+        u = make_universe([str(i + 1) for i in range(n)])
+        p = make(u, seed)
+        got = maximal_solvable_covers(p, limit=n)
+        if not got:
+            assert not solvable(p, Cover(u, canonical_masks(u)[:n]))
+        for c in got:
+            assert solvable(p, c)
+            assert star_closure(c) is c
+            for other in got:
+                assert c == other or not subsumes(c, other)
+            for m in canonical_masks(u):
+                below = [m ^ 1 << i for i in range(n) if m >> i & 1 and m != 1 << i]
+                if m not in c.mask_set and all(b in c.mask_set for b in below):
+                    assert not solvable(p, Cover(u, c.masks + (m,)))
+
+    @pytest.mark.parametrize("make", [random_problem, sparse_problem])
+    def test_kernel_calls_at_five_features(self, make, monkeypatch):
+        ranked = []
+
+        def counting(n, goal, masks, *rest):
+            ranked.append(masks)
+            return rank_table(n, goal, masks, *rest)
+
+        monkeypatch.setattr(planning, "rank_table", counting)
+        u = make_universe([str(i + 1) for i in range(5)])
+        for seed in range(6):
+            ranked.clear()
+            maximal_solvable_covers(make(u, seed))
+            assert 1 <= len(ranked) <= 100
+            assert len(set(ranked)) == len(ranked)  # no complex is ranked twice
 
     @pytest.mark.slow
     def test_junction_validated_against_brute_force(self, junction, u4):

@@ -55,6 +55,17 @@ class TestStarClosure:
         assert closed == C(u3, "1", "2", "3", "12", "23")
         assert dict(closed.labels) == {m("12"): "a", m("23"): "b"}
 
+    def test_wide_universe_in_canonical_order(self):
+        # 40 features span five bytes of sort_key.
+        u = make_universe([str(i) for i in range(40)])
+        pairs = [[str(i), str(i + 1)] for i in range(0, 40, 2)]
+        c = make_cover(u, pairs + [["0", "9", "17"], ["3", "39"]])
+        labelled = Cover(u, c.masks, {u.mask_of(["3", "39"]): "r"})
+        closed = star_closure(labelled)
+        assert len(closed) == 40 + 20 + 4 + 1  # singletons, pairs, the triple closed, {3,39}
+        assert closed.masks == Cover(u, reversed(closed.masks)).masks
+        assert dict(closed.labels) == {u.mask_of(["3", "39"]): "r"}
+
     def test_size_guard(self):
         u = make_universe([str(i) for i in range(21)])
         wide = make_cover(u, [[str(i) for i in range(21)]])

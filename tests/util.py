@@ -2,9 +2,10 @@
 
 Oracles here deliberately avoid the package's own machinery: covers are
 re-derived with ``itertools`` over frozensets, solvability with a top-down
-AND-OR path search, counts with closed-form formulas.  The one exception is
-``exhaustive_maximal_solvable_covers``: it uses the package's enumeration
-and kernel, but ranks every cover rather than one cover per star class.
+AND-OR path search, counts with closed-form formulas.  The exceptions are the
+sensor-search oracles, which use the package's enumeration and kernel but not
+its border search: ``exhaustive_maximal_solvable_covers`` ranks every cover,
+and ``class_walk_maximal_solvable_covers`` ranks one cover per star class.
 ``sweep_rank_table`` is the level-sweep fixpoint the package's worklist
 kernel replaced, kept as that kernel's full-table oracle.
 """
@@ -19,9 +20,12 @@ from cover_lattice import (
     Cover,
     PlanningProblem,
     canonical_masks,
+    iter_antichain_covers,
     iter_covers,
     make_cover,
     solvable,
+    star_closure,
+    upper_covers,
 )
 
 
@@ -90,6 +94,20 @@ def exhaustive_maximal_solvable_covers(problem: PlanningProblem) -> set[Cover]:
             not fam >> j & 1 and (fam | 1 << j) in by_fam for j in range(len(index))
         )
     }
+
+
+def class_walk_maximal_solvable_covers(problem: PlanningProblem) -> set[Cover]:
+    """Maximal solvable covers by ranking every star class (6894 at 5 features).
+
+    Solvability is star-invariant, so each class is ranked once, on its
+    covering-antichain representative, and the answer is the
+    sub-collection-maximal closures of the solvable classes.
+    """
+    return upper_covers(
+        star_closure(rep)
+        for rep in iter_antichain_covers(problem.universe)
+        if solvable(problem, rep)
+    )
 
 
 def random_problem(universe, seed: int, n_actions: int = 2) -> PlanningProblem:
