@@ -8,8 +8,8 @@ map from mask to reading label for the pre-images whose reading is named;
 the names never take part in comparisons.  ``FeatureUniverse.labels_of`` and
 ``FeatureUniverse.belief_of`` turn a bitmask back into labels, as a tuple in
 index order and as a frozenset, from per-byte lookup tables.
-``FeatureUniverse.sort_key`` gives each subset an int that sorts in canonical
-order, and ``FeatureUniverse.canonical_masks`` lists every subset in that order.
+``FeatureUniverse.canonical_masks`` lists every subset in ``preimage_key``
+order, once per universe.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def preimage_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), bits(mask))
 
 
-# Byte b with its eight bits in reverse order.
-_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 class FeatureUniverse:
     """Ordered set of distinct world-feature labels.
 
@@ -64,7 +60,7 @@ class FeatureUniverse:
     concatenation or frozenset union, not a walk over its bits.
     """
 
-    __slots__ = ("labels", "_index", "_byte_labels", "_byte_beliefs", "_key_bytes", "_canonical")
+    __slots__ = ("labels", "_index", "_byte_labels", "_byte_beliefs", "_canonical")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -81,7 +77,6 @@ class FeatureUniverse:
         self._index = index
         self._byte_labels = None
         self._byte_beliefs = None
-        self._key_bytes = (len(labels) + 7) // 8
         self._canonical = None
 
     @property
@@ -124,20 +119,6 @@ class FeatureUniverse:
             belief = belief | tables[i][mask & 0xFF]
         return belief
 
-    def sort_key(self, mask: int) -> int:
-        """An int that orders subsets as ``preimage_key`` does.
-
-        Among subsets of one cardinality, ``preimage_key`` puts first the one
-        that holds the lowest feature where two subsets differ.  Reversing the
-        bits makes that feature the most significant, so the key is the
-        cardinality above the complement of the reversed mask.
-        """
-        width = self._key_bytes
-        reversed_bytes = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
-        reversed_mask = int.from_bytes(reversed_bytes, "big")
-        shift = 8 * width
-        return (mask.bit_count() << shift) | (reversed_mask ^ ((1 << shift) - 1))
-
     @property
     def canonical_masks(self) -> tuple[int, ...]:
         """Every non-empty subset in canonical order, built once per universe.
@@ -148,7 +129,7 @@ class FeatureUniverse:
         """
         table = self._canonical
         if table is None:
-            table = self._canonical = tuple(sorted(range(1, 1 << self.n), key=self.sort_key))
+            table = self._canonical = tuple(sorted(range(1, 1 << self.n), key=preimage_key))
         return table
 
     def _build_byte_labels(self) -> tuple[tuple[tuple[str, ...], ...], ...]:

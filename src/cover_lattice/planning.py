@@ -186,9 +186,9 @@ def _check_states(p: PlanningProblem) -> None:
         )
 
 
-def _ranks(p: PlanningProblem, c: Cover, until: int = 0) -> list[int]:
+def _ranks(p: PlanningProblem, masks: tuple[int, ...], until: int = 0) -> list[int]:
     post, index = p._tables
-    return rank_table(p.universe.n, p.goal, c.masks, len(p.actions), post, index, until)
+    return rank_table(p.universe.n, p.goal, masks, len(p.actions), post, index, until)
 
 
 class _WinningBeliefs(Set):
@@ -245,13 +245,13 @@ def winning_beliefs(p: PlanningProblem, c: Cover) -> AbstractSet[Belief]:
     beliefs are to be read more than once.
     """
     _check_pair(p, c)
-    return _WinningBeliefs(p.universe, _ranks(p, c))
+    return _WinningBeliefs(p.universe, _ranks(p, c.masks))
 
 
 def solvable(p: PlanningProblem, c: Cover) -> bool:
     """True iff the initial belief is winning under ``c``."""
     _check_pair(p, c)
-    return _ranks(p, c, until=p.initial)[p.initial] >= 0
+    return _ranks(p, c.masks, until=p.initial)[p.initial] >= 0
 
 
 def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
@@ -268,7 +268,7 @@ def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
     initial one, like the best successor at each choice, ranks below ``k``.
     """
     _check_pair(p, c)
-    ranks = _ranks(p, c, until=p.initial)
+    ranks = _ranks(p, c.masks, until=p.initial)
     if ranks[p.initial] < 0:
         raise UnsolvableError("no guaranteed plan under this cover")
     acount = len(p.actions)
@@ -418,14 +418,13 @@ def maximal_solvable_covers(p: PlanningProblem, *, limit: int | None = None) -> 
         f = table[i]
         for j in bits(f):
             below[i] |= 1 << position[f ^ 1 << j]
-    post, index = p._tables
     unsolvable: list[int] = []
 
     def solvable_complex(cx: int, facets: int) -> bool:
         if any(bad & ~cx == 0 for bad in unsolvable):
             return False
         masks = tuple(table[i] for i in bits(facets))
-        if rank_table(n, p.goal, masks, len(p.actions), post, index, p.initial)[p.initial] < 0:
+        if _ranks(p, masks, until=p.initial)[p.initial] < 0:
             unsolvable.append(cx)
             return False
         return True

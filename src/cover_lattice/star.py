@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Cover, FeatureUniverse, bits
+from .core import Cover, FeatureUniverse, bits, preimage_key
 from .errors import SizeGuardError, ValidationError, guard_features
 from .order import _check_universes, meet
 
@@ -41,9 +41,9 @@ def star_closure(v: Cover, *, max_preimage_size: int = MAX_PREIMAGE_BITS) -> Cov
 
     Idempotent and extensive; guarded because a pre-image of size ``s``
     contributes ``2**s - 1`` subsets.  Only ``v``'s own pre-images keep
-    their labels.  The subsets are sorted by the universe's ``sort_key``,
-    not filtered from its ``canonical_masks`` table, because that table
-    grows with the universe while the closure grows only with ``v``.
+    their labels.  The subsets are sorted by ``preimage_key``, not filtered
+    from the universe's ``canonical_masks`` table, because that table grows
+    with the universe while the closure grows only with ``v``.
     """
     if v._closure is not None:
         return v._closure
@@ -59,9 +59,8 @@ def star_closure(v: Cover, *, max_preimage_size: int = MAX_PREIMAGE_BITS) -> Cov
         while s:
             subsets.add(s)
             s = (s - 1) & m
-    universe = v.universe
-    masks = tuple(sorted(subsets, key=universe.sort_key))
-    closed = Cover._from_canonical(universe, masks, v.labels)
+    masks = tuple(sorted(subsets, key=preimage_key))
+    closed = Cover._from_canonical(v.universe, masks, v.labels)
     closed._closure = closed
     v._closure = closed
     return closed

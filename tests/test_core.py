@@ -60,13 +60,6 @@ class TestCanonicalOrder:
         assert u.canonical_masks == tuple(sorted(range(1, 1 << n), key=preimage_key))
         assert u.canonical_masks is u.canonical_masks
 
-    @pytest.mark.parametrize("n", [15, 16, 17, 24, 40])
-    def test_sort_key_orders_as_preimage_key(self, n):
-        u = make_universe([f"f{i}" for i in range(n)])
-        rng = random.Random(n)
-        masks = list({u.full_mask, 1, 1 << (n - 1)} | {rng.getrandbits(n) or 1 for _ in range(300)})
-        assert sorted(masks, key=u.sort_key) == sorted(masks, key=preimage_key)
-
 
 class TestMakeUniverse:
     def test_three_labels(self):

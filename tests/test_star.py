@@ -56,7 +56,7 @@ class TestStarClosure:
         assert dict(closed.labels) == {m("12"): "a", m("23"): "b"}
 
     def test_wide_universe_in_canonical_order(self):
-        # 40 features span five bytes of sort_key.
+        # A closure sorts its own subsets; it never lists the 2**40 - 1 masks.
         u = make_universe([str(i) for i in range(40)])
         pairs = [[str(i), str(i + 1)] for i in range(0, 40, 2)]
         c = make_cover(u, pairs + [["0", "9", "17"], ["3", "39"]])
