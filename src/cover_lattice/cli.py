@@ -201,23 +201,19 @@ def _cmd_enumerate(args, docs):
     from .enumeration import all_covers, cover_count
 
     universe = _universe_arg(docs, args)
-    limit = args.max_n
     if args.format == "json":
-        return json_text(covers_doc(universe, list(all_covers(universe, limit=limit)))), EXIT_OK
-    return f"{cover_count(universe, limit=limit)}\n", EXIT_OK
+        return json_text(covers_doc(universe, list(all_covers(universe)))), EXIT_OK
+    return f"{cover_count(universe, limit=args.max_n)}\n", EXIT_OK
 
 
 def _cmd_classes(args, docs):
     from .enumeration import all_classes, class_count
 
     universe = _universe_arg(docs, args)
-    limit = args.max_n
     if args.format == "json":
-        classes = sorted(
-            all_classes(universe, limit=limit), key=lambda sc: sc.representative.canonical_key
-        )
+        classes = sorted(all_classes(universe), key=lambda sc: sc.representative.canonical_key)
         return json_text(classes_doc(universe, classes)), EXIT_OK
-    return f"{class_count(universe, limit=limit)}\n", EXIT_OK
+    return f"{class_count(universe, limit=args.max_n)}\n", EXIT_OK
 
 
 def _cmd_partitions(args, docs):
@@ -322,7 +318,8 @@ def _cmd_class_report(args, docs):
 FLAGS = {
     "--max-n": dict(
         type=int, dest="max_n", metavar="INT",
-        help="lifts the size guards; also the universe size when no universe is input",
+        help="the universe size when no universe is input; also lifts the feature guard, "
+        "except for json enumerate and classes",
     ),
     # The keys of enumeration.ORDERS, which cli does not import at start-up.
     "--order": dict(choices=["proceeds", "star", "subsumption"], default="subsumption"),
@@ -389,10 +386,7 @@ def run_cli(argv: Sequence[str]) -> int:
     try:
         docs = _load_inputs(args)
         text, status = COMMANDS[args.command][0](args, docs)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchemaError as exc:
+    except (UsageError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CoverLatticeError as exc:

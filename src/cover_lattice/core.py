@@ -321,13 +321,7 @@ def make_cover(universe: FeatureUniverse, sets: Iterable[Iterable[str]]) -> Cove
     Raises ``ValidationError`` for an empty subset, an unknown label, or a
     union that misses part of the universe (the gap is reported by name).
     """
-    masks: set[int] = set()
-    for subset in sets:
-        mask = universe.mask_of(subset)
-        if mask == 0:
-            raise ValidationError("empty pre-image")
-        masks.add(mask)
-    return Cover(universe, masks)
+    return Cover(universe, {universe.mask_of(subset) for subset in sets})
 
 
 def invert_sensor_map(m: SensorMap) -> Cover:

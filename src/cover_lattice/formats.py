@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .core import Cover, FeatureUniverse, SensorMap
+from .core import Cover, FeatureUniverse, SensorMap, preimage_key
 from .errors import SchemaError
 
 if TYPE_CHECKING:  # the parsers and serializers that need these layers import them
@@ -306,21 +306,14 @@ def _sensor_map_doc(m: SensorMap) -> dict:
 
 
 def policy_doc(p: PlanningProblem, pol: Policy) -> dict:
-    """JSON form of a policy, keyed by canonical belief strings."""
+    """JSON form of a policy, keyed by canonical belief strings in ``preimage_key`` order."""
     universe = p.universe
 
-    def sort_key(item):
-        mask = universe.mask_of(item[0])
-        return (mask.bit_count(), universe.labels_of(mask))
+    def ordered(beliefs):
+        by_mask = {universe.mask_of(b): v for b, v in beliefs.items()}
+        return {belief_text(universe, m): by_mask[m] for m in sorted(by_mask, key=preimage_key)}
 
-    return {
-        "actions": {
-            belief_text(universe, b): a for b, a in sorted(pol.action_of.items(), key=sort_key)
-        },
-        "ranks": {
-            belief_text(universe, b): r for b, r in sorted(pol.rank_of.items(), key=sort_key)
-        },
-    }
+    return {"actions": ordered(pol.action_of), "ranks": ordered(pol.rank_of)}
 
 
 def serialize_document(value) -> str:

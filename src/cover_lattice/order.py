@@ -144,9 +144,9 @@ def iter_u_inflation(c: Cover) -> Iterator[Cover]:
     yield from rec(0, 0)
 
 
-def u_inflation(c: Cover, *, limit: int = U_INFLATION_LIMIT) -> set[Cover]:
-    """Materialized u-inflation; refuses covers with more than ``limit`` pre-images."""
-    if len(c) > limit:
+def u_inflation(c: Cover) -> set[Cover]:
+    """Materialized u-inflation; refuses covers with more than ``U_INFLATION_LIMIT`` pre-images."""
+    if len(c) > U_INFLATION_LIMIT:
         raise SizeGuardError(
             f"u-inflation of {len(c)} pre-images may produce "
             f"2**{len(c)} covers; use iter_u_inflation to stream"

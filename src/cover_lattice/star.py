@@ -36,10 +36,11 @@ MAX_CLASS_EXTRA = 20
 PARTITION_SLICE_LIMIT = 6
 
 
-def star_closure(v: Cover, *, max_preimage_size: int = MAX_PREIMAGE_BITS) -> Cover:
+def star_closure(v: Cover) -> Cover:
     """Downward closure: every non-empty subset of every pre-image of ``v``.
 
-    Idempotent and extensive; guarded because a pre-image of size ``s``
+    Idempotent and extensive; refused for a pre-image of more than
+    ``MAX_PREIMAGE_BITS`` features, because a pre-image of size ``s``
     contributes ``2**s - 1`` subsets.  Only ``v``'s own pre-images keep
     their labels.  The subsets are sorted by ``preimage_key``, not filtered
     from the universe's ``canonical_masks`` table, because that table grows
@@ -48,10 +49,10 @@ def star_closure(v: Cover, *, max_preimage_size: int = MAX_PREIMAGE_BITS) -> Cov
     if v._closure is not None:
         return v._closure
     widest = max(m.bit_count() for m in v.masks)
-    if widest > max_preimage_size:
+    if widest > MAX_PREIMAGE_BITS:
         raise SizeGuardError(
             f"a pre-image of size {widest} closes into 2**{widest} subsets "
-            f"(limit {max_preimage_size})"
+            f"(limit {MAX_PREIMAGE_BITS})"
         )
     subsets: set[int] = set()
     for m in v.masks:
@@ -83,19 +84,20 @@ def canonical_rep(c: Cover) -> Cover:
     return Cover(c.universe, keep, c.labels)
 
 
-def class_members(c: Cover, *, limit: int = MAX_CLASS_EXTRA) -> set[Cover]:
+def class_members(c: Cover) -> set[Cover]:
     """All covers with the same star-closure as ``c``.
 
     Every member is the canonical representative plus some subset of the
     remaining closure elements, so there are exactly
-    ``2**(len(closure) - len(representative))`` of them.
+    ``2**(len(closure) - len(representative))`` of them; refused past
+    ``2**MAX_CLASS_EXTRA`` members.
     """
     closed = star_closure(c)
     rep = canonical_rep(c)
     extras = sorted(closed.mask_set - rep.mask_set)
-    if len(extras) > limit:
+    if len(extras) > MAX_CLASS_EXTRA:
         raise SizeGuardError(
-            f"class has 2**{len(extras)} members (limit 2**{limit})"
+            f"class has 2**{len(extras)} members (limit 2**{MAX_CLASS_EXTRA})"
         )
     members = set()
     base = rep.masks

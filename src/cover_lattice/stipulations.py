@@ -77,11 +77,11 @@ class ComplianceReport:
         return self.witness is not None
 
 
-def class_compliance_report(c: Cover, s: Stipulation, *, limit: int = 20) -> ComplianceReport:
+def class_compliance_report(c: Cover, s: Stipulation) -> ComplianceReport:
     """Partition the star class of ``c`` by compliance with ``s``."""
     from .star import class_members
 
-    members = sorted(class_members(c, limit=limit), key=lambda m: m.canonical_key)
+    members = sorted(class_members(c), key=lambda m: m.canonical_key)
     good = tuple(m for m in members if complies(m, s))
     bad = tuple(m for m in members if not complies(m, s))
     witness = (good[0], bad[0]) if good and bad else None

@@ -103,7 +103,7 @@ class TestBasics:
         assert out.read_text(encoding="utf-8") == "{1}|{2}|{3}|{1,2}|{1,3}|{2,3}|{1,2,3}\n"
 
 
-def run_module(*argv, **env):
+def run_module(*argv, timeout=None, **env):
     """Run ``python -m cover_lattice`` in a child process; returns (status, stdout, stderr) bytes."""
     import subprocess
 
@@ -115,6 +115,7 @@ def run_module(*argv, **env):
         [sys.executable, "-m", "cover_lattice", *argv],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -550,6 +551,45 @@ class TestPlanningCommands:
         assert doc["actions"] == {"{1}": "left", "{3}": "right"}
         assert doc["ranks"]["{1,3}"] == 1
 
+    @pytest.mark.parametrize(
+        "states,actions,ranks",
+        [
+            (
+                [str(i) for i in range(1, 12)],
+                [f"{{{i}}}" for i in range(1, 12)],
+                [f"{{{i}}}" for i in range(2, 12)] + ["{1,2,3,4,5,6,7,8,9,10,11}"],
+            ),
+            (["b", "a"], ["{b}", "{a}"], ["{a}", "{b,a}"]),
+        ],
+    )
+    def test_policy_beliefs_in_feature_order(self, capsys, files, states, actions, ranks):
+        # A corridor started everywhere whose goal is its last state: beliefs
+        # come out by cardinality, then feature index, whatever the labels.
+        last = len(states) - 1
+        problem = files(
+            "corridor.json",
+            {
+                "states": states,
+                "actions": ["left", "right"],
+                "transition": {
+                    s: {"left": [states[max(i - 1, 0)]], "right": [states[min(i + 1, last)]]}
+                    for i, s in enumerate(states)
+                },
+                "initial": states,
+                "goal": [states[last]],
+            },
+        )
+        cov = files("singletons.json", {"universe": states, "cover": [[s] for s in states]})
+        status, out, _ = invoke(
+            capsys, "policy", "--input", problem, "--input", cov, "--format", "json"
+        )
+        assert status == 0
+        doc = json.loads(out)
+        assert list(doc["actions"]) == actions
+        assert list(doc["ranks"]) == ranks
+        status, out, _ = invoke(capsys, "policy", "--input", problem, "--input", cov)
+        assert out == "".join(f"{b} -> right\n" for b in actions)
+
     def test_search_sensors_right_march(self, capsys, files):
         problem = files(
             "march.json",
@@ -752,6 +792,26 @@ class TestBoundPlumbing:
         status, _, err = invoke(capsys, "search-sensors", "--input", problem)
         assert status == 1
         assert "cover search" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("enumerate", "--max-n", "5"), "cover enumeration limited to 4 features (got 5)"),
+            (("classes", "--max-n", "6"), "class enumeration limited to 5 features (got 6)"),
+        ],
+    )
+    def test_max_n_does_not_lift_json_listings(self, argv, message):
+        # Past these bounds a listing cannot finish (2,147,321,017 covers at 5
+        # features, 7,785,062 classes at 6), so --max-n only sizes the universe.
+        # A child with a timeout fails the test instead of hanging the suite.
+        status, out, err = run_module(*argv, "--format", "json", timeout=10)
+        assert status == 1 and out == b""
+        assert err == f"error: {message}\n".encode()
+
+    def test_classes_default_bound_is_five(self, capsys, files):
+        upath = files("u5.json", {"universe": [str(i) for i in range(5)]})
+        status, out, _ = invoke(capsys, "classes", "--input", upath)
+        assert status == 0 and out == "6894\n"
 
 
 COMMAND_NAMES = [

@@ -67,11 +67,6 @@ class TestAllCovers:
         first = next(stream)
         assert first.universe == u5
 
-    def test_limit_override(self, u2):
-        assert len(all_covers(u2, limit=2)) == 5
-        with pytest.raises(SizeGuardError):
-            all_covers(u2, limit=1)
-
 
 class TestAllClasses:
     def test_n2_classes(self, u2):
@@ -107,11 +102,11 @@ class TestClassCount:
         assert class_count(u) == len(all_classes(u))
 
     def test_guarded_like_all_classes(self):
-        u5 = make_universe(list("abcde"))
-        with pytest.raises(SizeGuardError, match="class enumeration limited to 4"):
-            class_count(u5)
-        with pytest.raises(SizeGuardError, match="class enumeration limited to 4"):
-            all_classes(u5)
+        u6 = make_universe(list("abcdef"))
+        with pytest.raises(SizeGuardError, match="class enumeration limited to 5"):
+            class_count(u6)
+        with pytest.raises(SizeGuardError, match="class enumeration limited to 5"):
+            all_classes(u6)
         assert class_count(make_universe(list("ab")), limit=2) == 2
         with pytest.raises(SizeGuardError):
             class_count(make_universe(list("ab")), limit=1)
