@@ -1,9 +1,11 @@
 """The belief-ranking kernel: the worst-case fixpoint behind every plan.
 
-``rank_table`` is the one computation that gives a cover its operational
-meaning; ``solvable``, ``winning_beliefs``, ``extract_policy`` and the sensor
-search all read its table.  It is plain Python.  ``BACKEND`` names the
-implementation and is re-exported as ``cover_lattice.KERNEL_BACKEND``.
+The worst-case fixpoint gives a cover its operational meaning.
+``rank_table`` ranks every belief, for ``winning_beliefs`` and the sensor
+search; ``reach_ranks`` ranks only the beliefs the initial belief reaches,
+for ``solvable`` and ``extract_policy``.  Both are plain Python.  ``BACKEND``
+names the implementation and is re-exported as
+``cover_lattice.KERNEL_BACKEND``.
 
 A problem is prepared once: ``post_table`` folds its transitions into the
 belief reached from every post-sensing belief under every action, and
@@ -40,8 +42,20 @@ of its beliefs is ranked, so an entry is final the moment it is set.
 is ranked, and the call returns at the first level that holds it, with
 only that belief's entry set from the level.  Every entry of lower rank is
 then set and exact, and every entry still -1 ranks at least as high or not
-at all.  ``solvable`` and ``extract_policy`` stop at the initial belief;
-``winning_beliefs`` ranks every belief.
+at all.  ``winning_beliefs`` ranks every belief, and the sensor search
+stops at the initial belief.
+
+``solvable`` and ``extract_policy`` need only the beliefs the initial belief
+can reach, often a few dozen of the 2^n.  ``reach_ranks`` explores that part
+forward, then runs the same level-synchronous attractor backward over it,
+one belief at a time, and stops once the initial belief is ranked: a local
+fixpoint (Liu & Smolka, ICALP 1998), as in AND-OR heuristic search (Hansen
+& Zilberstein, AIJ 2001).  A belief's rank depends only on the beliefs it
+reaches, so every belief it ranks gets its ``rank_table`` rank.  Exploring
+costs one unit per reading intersected and one per post lookup.  Past the
+caller's budget it returns ``None``, and the caller ranks the full table.
+``solvable`` and ``extract_policy`` pass ``A * 2^n``, the predecessor
+pushes of one full table, so a hand-over costs at most about two tables.
 """
 
 from __future__ import annotations
@@ -49,7 +63,15 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 
-__all__ = ["BACKEND", "post_table", "predecessor_index", "rank_table", "subset_bits"]
+__all__ = [
+    "BACKEND",
+    "Ranks",
+    "post_table",
+    "predecessor_index",
+    "rank_table",
+    "reach_ranks",
+    "subset_bits",
+]
 
 BACKEND: str = "pure"
 
@@ -189,3 +211,86 @@ def rank_table(n, goal_mask, preimage_masks, n_actions, post, index, until=0):
         ranked |= new
         k += 1
     return rank
+
+
+class Ranks(dict):
+    """Ranks keyed by belief bitmask; a belief that is not a key reads -1."""
+
+    __slots__ = ()
+
+    def __missing__(self, belief):
+        return -1
+
+
+def reach_ranks(goal_mask, preimage_masks, n_actions, post, initial, budget):
+    """``rank_table``'s ranks on the beliefs ``initial`` reaches, up to its own.
+
+    The arguments mean what they mean for ``rank_table``.  Each pre-sensing
+    belief ``b`` outside the goal leads to its post-sensing beliefs
+    ``b & r``, and each of those to ``post[y * n_actions + a]``.  The result
+    maps each belief ranked below ``initial``, and ``initial`` if it is
+    winning, to its ``rank_table`` rank; every other belief reads -1, and
+    ranks at least as high as ``initial`` or not at all.
+
+    Exploring costs one unit per reading intersected and one per post
+    lookup.  Past ``budget`` units the call returns ``None`` at once.
+    """
+    not_goal = ~goal_mask
+    readings = len(preimage_masks)
+    parents = {}  # post-sensing y -> the pre-sensing beliefs that sense into it
+    preds = {}  # pre-sensing x -> the post-sensing beliefs with an action into it
+    need = {}  # pre-sensing b outside the goal -> its post-sensing beliefs not yet safe
+    level = []  # the reached beliefs inside the goal: rank 0
+    seen = {initial}
+    stack = [initial]
+    units = 0
+    while stack:
+        b = stack.pop()
+        if not b & not_goal:
+            level.append(b)
+            continue
+        units += readings
+        ys = {b & r for r in preimage_masks}
+        ys.discard(0)
+        need[b] = len(ys)
+        for y in ys:
+            above = parents.get(y)
+            if above is not None:
+                above.append(b)
+                continue
+            parents[y] = [b]
+            units += n_actions
+            base = y * n_actions
+            for x in set(post[base : base + n_actions]):
+                below = preds.get(x)
+                if below is None:
+                    preds[x] = [y]
+                else:
+                    below.append(y)
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        if units > budget:
+            return None
+    ranks = Ranks()
+    safe = set()
+    k = 0
+    while level:
+        for b in level:
+            ranks[b] = k
+        if initial in ranks:
+            break
+        # A post-sensing belief turns safe at its cheapest action's rank, k;
+        # a belief whose last one turns safe here ranks k + 1.
+        up = []
+        for x in level:
+            for y in preds.get(x, ()):
+                if y not in safe:
+                    safe.add(y)
+                    for b in parents[y]:
+                        need[b] -= 1
+                        if not need[b]:
+                            up.append(b)
+        level = up
+        k += 1
+    return ranks

@@ -36,6 +36,9 @@ COVER_ENUM_LIMIT = 4
 # 4,932 at n = 14, past the 4,300 digits Python converts to str by default.
 COUNT_LIMIT = 13
 CLASS_ENUM_LIMIT = 5
+# Counting walks every covering antichain: 7,785,062 at 6 features (about
+# 24 s), about 2.4 * 10**12 at 7.
+CLASS_COUNT_LIMIT = 6
 PARTITION_ENUM_LIMIT = 8
 
 # The orders hasse_edges draws, each as the layer and name of its relation, so
@@ -147,9 +150,16 @@ def class_count(universe: FeatureUniverse, *, limit: int | None = None) -> int:
     """Number of star classes: the covering antichains, counted without closures.
 
     Guarded at ``CLASS_ENUM_LIMIT`` features like ``all_classes``; ``limit``
-    lifts that bound, because counting builds no closure.
+    lifts that bound, because counting builds no closure.  Refused past
+    ``CLASS_COUNT_LIMIT`` features whatever the limit, because the count
+    still walks every class, and 7 features have about 2.4 * 10**12.
     """
     guard_features("class enumeration", universe.n, limit, CLASS_ENUM_LIMIT)
+    if universe.n > CLASS_COUNT_LIMIT:
+        raise SizeGuardError(
+            f"class count limited to {CLASS_COUNT_LIMIT} features (got {universe.n}): "
+            "the count walks every class, about 2.4 * 10**12 at 7"
+        )
     return sum(1 for _ in iter_antichain_covers(universe))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
-from ._kernel import post_table, predecessor_index, rank_table
+from ._kernel import Ranks, post_table, predecessor_index, rank_table, reach_ranks
 from .core import Cover, FeatureUniverse, bits
 from .errors import (
     SizeGuardError,
@@ -191,6 +191,21 @@ def _ranks(p: PlanningProblem, masks: tuple[int, ...], until: int = 0) -> list[i
     return rank_table(p.universe.n, p.goal, masks, len(p.actions), post, index, until)
 
 
+def _initial_ranks(p: PlanningProblem, masks: tuple[int, ...]) -> Ranks | list[int]:
+    """Exact ranks below the initial belief's, and its own; -1 for a belief not ranked.
+
+    The beliefs the initial one reaches are ranked on their own while
+    exploring them takes no more steps than a full table's predecessor
+    pushes, ``A * 2^n`` for ``A`` actions; past that the full table is
+    ranked, up to the initial belief.
+    """
+    acount = len(p.actions)
+    ranks = reach_ranks(
+        p.goal, masks, acount, p._tables[0], p.initial, acount << p.universe.n
+    )
+    return _ranks(p, masks, until=p.initial) if ranks is None else ranks
+
+
 class _WinningBeliefs(Set):
     """Read-only set of the winning beliefs, read from a full rank table.
 
@@ -249,9 +264,13 @@ def winning_beliefs(p: PlanningProblem, c: Cover) -> AbstractSet[Belief]:
 
 
 def solvable(p: PlanningProblem, c: Cover) -> bool:
-    """True iff the initial belief is winning under ``c``."""
+    """True iff the initial belief is winning under ``c``.
+
+    Only the beliefs the initial belief can reach are ranked, unless they
+    are too many, and ranking stops once the initial belief is ranked.
+    """
     _check_pair(p, c)
-    return _ranks(p, c.masks, until=p.initial)[p.initial] >= 0
+    return _initial_ranks(p, c.masks)[p.initial] >= 0
 
 
 def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
@@ -262,13 +281,15 @@ def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
     along every adversarial branch.  Raises ``UnsolvableError`` when the
     initial belief is not winning.
 
-    Ranking stops once the initial belief is ranked, at some ``k``.  That
-    is exact: every entry below ``k`` is final by then, an entry not yet set
-    ranks at least ``k``, and every belief the policy reaches after the
-    initial one, like the best successor at each choice, ranks below ``k``.
+    Only the beliefs the initial belief can reach are ranked, unless they
+    are too many, and ranking stops once the initial belief is ranked, at
+    some ``k``.  That is exact: every entry below ``k`` is final by then, an
+    entry not set ranks at least ``k`` or not at all, and every belief the
+    policy reaches after the initial one, like the best successor at each
+    choice, ranks below ``k``.
     """
     _check_pair(p, c)
-    ranks = _ranks(p, c.masks, until=p.initial)
+    ranks = _initial_ranks(p, c.masks)
     if ranks[p.initial] < 0:
         raise UnsolvableError("no guaranteed plan under this cover")
     acount = len(p.actions)
@@ -424,6 +445,8 @@ def maximal_solvable_covers(p: PlanningProblem, *, limit: int | None = None) -> 
         if any(bad & ~cx == 0 for bad in unsolvable):
             return False
         masks = tuple(table[i] for i in bits(facets))
+        # The full table, not _initial_ranks: on the facet-heavy complexes of
+        # a search (measured at 5-8 features), exploring first was slower.
         if _ranks(p, masks, until=p.initial)[p.initial] < 0:
             unsolvable.append(cx)
             return False

@@ -808,6 +808,13 @@ class TestBoundPlumbing:
         assert status == 1 and out == b""
         assert err == f"error: {message}\n".encode()
 
+    def test_max_n_lifts_class_count_to_six_only(self):
+        # Counting walks every class, so a count at 7 features would run for
+        # months; it must be refused at once, whatever --max-n says.
+        status, out, err = run_module("classes", "--max-n", "7", timeout=10)
+        assert status == 1 and out == b""
+        assert err.startswith(b"error: class count limited to 6 features (got 7)")
+
     def test_classes_default_bound_is_five(self, capsys, files):
         upath = files("u5.json", {"universe": [str(i) for i in range(5)]})
         status, out, _ = invoke(capsys, "classes", "--input", upath)

@@ -19,6 +19,7 @@ from cover_lattice import (
     subsumes,
 )
 
+from cover_lattice import enumeration
 from cover_lattice.core import preimage_key
 
 from util import C, as_family, bell_number, brute_cover_families, cover_count_formula
@@ -110,6 +111,17 @@ class TestClassCount:
         assert class_count(make_universe(list("ab")), limit=2) == 2
         with pytest.raises(SizeGuardError):
             class_count(make_universe(list("ab")), limit=1)
+
+    @pytest.mark.parametrize("limit", [7, 30])
+    def test_refused_past_six_whatever_the_limit(self, limit, monkeypatch):
+        # 7 features have about 2.4 * 10**12 classes: a lifted count cannot
+        # finish.  A walk that starts fails at once instead of hanging.
+        def walk(universe):
+            raise AssertionError("class_count started walking the classes")
+
+        monkeypatch.setattr(enumeration, "iter_antichain_covers", walk)
+        with pytest.raises(SizeGuardError, match=r"class count limited to 6 features \(got 7\)"):
+            class_count(make_universe(list("abcdefg")), limit=limit)
 
 
 class TestIterAntichainCovers:

@@ -1,5 +1,6 @@
 """Certificate and oracle checks for the belief-ranking kernel."""
 
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from cover_lattice import (
     solvable,
 )
 from cover_lattice import planning
-from cover_lattice._kernel import predecessor_index, rank_table, subset_bits
+from cover_lattice._kernel import predecessor_index, rank_table, reach_ranks, subset_bits
 
 from util import corridor_problem, random_problem, sparse_problem, sweep_rank_table
 
@@ -155,17 +156,139 @@ def _policy_items(p, cover):
 
 
 def test_policy_from_early_stop_matches_full_table(workload, monkeypatch):
-    # extract_policy stops ranking at the initial belief; the policy, its
-    # ranks and their insertion order must equal those read off the full table.
+    # extract_policy ranks only what the initial belief reaches and stops at
+    # it; the policy, its ranks and their insertion order must equal those
+    # read off the full table.
     cases = [
         (p, Cover(p.universe, masks))
         for p, masks in workload + _large_workload() + _antichain_workload()
     ]
     early = [_policy_items(p, c) for p, c in cases]
-    full_ranks = planning._ranks
-    monkeypatch.setattr(planning, "_ranks", lambda p, c, until=0: full_ranks(p, c))
+    full_tables = []
+
+    def full_table(p, masks):
+        full_tables.append(_ranks(p, masks))
+        return full_tables[-1]
+
+    monkeypatch.setattr(planning, "_initial_ranks", full_table)
     assert early == [_policy_items(p, c) for p, c in cases]
+    assert len(full_tables) == len(cases)
+    assert all(len(t) == 1 << p.universe.n for t, (p, _) in zip(full_tables, cases))
     assert None in early and any(e is not None for e in early)
+
+
+def _reach_cases():
+    # Random, sparse and corridor problems at n = 1-10 under singletons, blind,
+    # overlapping pairs and random covers.
+    cases = []
+    for n in range(1, 11):
+        u = make_universe([str(i + 1) for i in range(n)])
+        rng = random.Random(7000 + n)
+        problems = [random_problem(u, 70 + seed, n_actions=1 + seed % 3) for seed in range(3)]
+        problems += [corridor_problem(u, goal_right=True), corridor_problem(u, goal_right=False)]
+        if n >= 4:  # sparse_problem draws an initial belief of up to 4 states
+            problems += [sparse_problem(u, seed) for seed in range(3)]
+        pairs = [0b11 << i for i in range(n - 1)] or [1]
+        covers = [[1 << i for i in range(n)], [u.full_mask], pairs]
+        covers += [_random_masks(u, rng) for _ in range(2)]
+        cases += [(p, masks) for p in problems for masks in covers]
+    return cases
+
+
+def _reachable(p, masks):
+    # Every pre-sensing belief some execution from the initial belief meets.
+    acount = len(p.actions)
+    post = p._tables[0]
+    seen = {p.initial}
+    stack = [p.initial]
+    while stack:
+        b = stack.pop()
+        if not b & ~p.goal:
+            continue
+        for r in masks:
+            if b & r:
+                for a in range(acount):
+                    x = post[(b & r) * acount + a]
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+    return seen
+
+
+def test_reach_ranks_match_full_table():
+    cases = _reach_cases()
+    handed_over = 0
+    for p, masks in cases:
+        acount = len(p.actions)
+        post = p._tables[0]
+        full = _ranks(p, masks)
+        ranks = reach_ranks(p.goal, masks, acount, post, p.initial, math.inf)
+        assert ranks[p.initial] == full[p.initial], (p, masks)
+        assert all(full[b] == k for b, k in ranks.items()), (p, masks)
+        top = full[p.initial]
+        reached = _reachable(p, masks)
+        assert set(ranks) <= reached
+        for b in reached - set(ranks):
+            assert full[b] == -1 or 0 <= top <= full[b], (p, masks, b)
+        # The real budget either hands over or gives the same ranks.
+        budgeted = reach_ranks(p.goal, masks, acount, post, p.initial, acount << p.universe.n)
+        if budgeted is None:
+            handed_over += 1
+        else:
+            assert budgeted == ranks
+    assert 0 < handed_over < len(cases) // 2
+
+
+def _counting_rank_table(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rank_table(*args)
+
+    monkeypatch.setattr(planning, "rank_table", counting)
+    return calls
+
+
+@pytest.mark.parametrize("goal_right", [True, False])
+def test_widest_corridor_ranks_no_table(goal_right, monkeypatch):
+    # Solving and extracting a policy at MAX_STATES states rank only the
+    # reachable beliefs: no full table under singletons or blind sensing.
+    u = make_universe([str(i + 1) for i in range(planning.MAX_STATES)])
+    p = corridor_problem(u, goal_right=goal_right)
+    calls = _counting_rank_table(monkeypatch)
+    singletons = make_cover(u, [[label] for label in u.labels])
+    blind = make_cover(u, [u.labels])
+    assert solvable(p, singletons) and solvable(p, blind)
+    assert max(extract_policy(p, singletons).rank_of.values()) == u.n - 1
+    assert max(extract_policy(p, blind).rank_of.values()) == u.n - 1
+    assert calls == []
+
+
+def test_hand_over_gives_the_same_answers(monkeypatch):
+    # The full complex at 6 features has 63 readings, so exploring costs more
+    # than a full table's A * 2^6 predecessor pushes, and the call hands over
+    # to rank_table once.
+    u = make_universe([str(i + 1) for i in range(6)])
+    complex_ = Cover(u, u.canonical_masks)
+    problems = [sparse_problem(u, seed) for seed in range(20)]
+    want = []
+    for p in problems:
+        acount = len(p.actions)
+        budget = acount << u.n
+        assert reach_ranks(p.goal, complex_.masks, acount, p._tables[0], p.initial, budget) is None
+        want.append((_ranks(p, complex_.masks)[p.initial] >= 0, _policy_items(p, complex_)))
+    calls = _counting_rank_table(monkeypatch)
+    for p, (wins, items) in zip(problems, want):
+        calls.clear()
+        assert solvable(p, complex_) == wins
+        assert len(calls) == 1 and calls[0][-1] == p.initial
+        calls.clear()
+        assert _policy_items(p, complex_) == items
+        assert len(calls) == 1 and calls[0][-1] == p.initial
+    assert any(wins for wins, _ in want) and not all(wins for wins, _ in want)
+    monkeypatch.setattr(planning, "_initial_ranks", lambda p, masks: _ranks(p, masks))
+    assert [_policy_items(p, complex_) for p in problems] == [items for _, items in want]
 
 
 def test_index_inverts_post(workload):
