@@ -54,8 +54,10 @@ fixpoint (Liu & Smolka, ICALP 1998), as in AND-OR heuristic search (Hansen
 reaches, so every belief it ranks gets its ``rank_table`` rank.  Exploring
 costs one unit per reading intersected and one per post lookup.  Past the
 caller's budget it returns ``None``, and the caller ranks the full table.
-``solvable`` and ``extract_policy`` pass ``A * 2^n``, the predecessor
-pushes of one full table, so a hand-over costs at most about two tables.
+``solvable`` and ``extract_policy`` pass ``A * 2^(n-1)``, half a full
+table's predecessor pushes: on covers of hundreds of readings over a wide
+reachable part, exploring alone measured up to 28 times slower than the
+table, and the hand-over keeps such calls near the table's time.
 """
 
 from __future__ import annotations

@@ -191,17 +191,26 @@ def _ranks(p: PlanningProblem, masks: tuple[int, ...], until: int = 0) -> list[i
     return rank_table(p.universe.n, p.goal, masks, len(p.actions), post, index, until)
 
 
+def _reach_budget(p: PlanningProblem) -> int:
+    """Exploring steps before ``_initial_ranks`` hands over: ``A * 2^(n-1)``.
+
+    That is half a full table's predecessor pushes, for ``A`` actions.  Of
+    the bounds ``A * 2^n`` times 1/16 to 8, a quarter and a half cost least
+    in total over the measured problems (``BENCH_13.json``), and a half is
+    the one that no problem/cover pair of 40 seeded ``plan`` passes reaches.
+    """
+    return (len(p.actions) << p.universe.n) >> 1
+
+
 def _initial_ranks(p: PlanningProblem, masks: tuple[int, ...]) -> Ranks | list[int]:
     """Exact ranks below the initial belief's, and its own; -1 for a belief not ranked.
 
     The beliefs the initial one reaches are ranked on their own while
-    exploring them takes no more steps than a full table's predecessor
-    pushes, ``A * 2^n`` for ``A`` actions; past that the full table is
-    ranked, up to the initial belief.
+    exploring them takes at most ``_reach_budget`` steps; past that the
+    full table is ranked, up to the initial belief.
     """
-    acount = len(p.actions)
     ranks = reach_ranks(
-        p.goal, masks, acount, p._tables[0], p.initial, acount << p.universe.n
+        p.goal, masks, len(p.actions), p._tables[0], p.initial, _reach_budget(p)
     )
     return _ranks(p, masks, until=p.initial) if ranks is None else ranks
 

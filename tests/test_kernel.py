@@ -231,7 +231,7 @@ def test_reach_ranks_match_full_table():
         for b in reached - set(ranks):
             assert full[b] == -1 or 0 <= top <= full[b], (p, masks, b)
         # The real budget either hands over or gives the same ranks.
-        budgeted = reach_ranks(p.goal, masks, acount, post, p.initial, acount << p.universe.n)
+        budgeted = reach_ranks(p.goal, masks, acount, post, p.initial, planning._reach_budget(p))
         if budgeted is None:
             handed_over += 1
         else:
@@ -267,28 +267,33 @@ def test_widest_corridor_ranks_no_table(goal_right, monkeypatch):
 
 def test_hand_over_gives_the_same_answers(monkeypatch):
     # The full complex at 6 features has 63 readings, so exploring costs more
-    # than a full table's A * 2^6 predecessor pushes, and the call hands over
-    # to rank_table once.
+    # than the budget, half a full table's A * 2^6 predecessor pushes, and the
+    # call hands over to rank_table once.  So does the 1,023-reading complex
+    # on a 10-state corridor, where exploring alone measured 5 times slower
+    # than the table.
     u = make_universe([str(i + 1) for i in range(6)])
     complex_ = Cover(u, u.canonical_masks)
-    problems = [sparse_problem(u, seed) for seed in range(20)]
+    cases = [(sparse_problem(u, seed), complex_) for seed in range(20)]
+    u10 = make_universe([str(i + 1) for i in range(10)])
+    cases += [(corridor_problem(u10, goal_right=right), Cover(u10, u10.canonical_masks))
+              for right in (True, False)]
     want = []
-    for p in problems:
+    for p, c in cases:
         acount = len(p.actions)
-        budget = acount << u.n
-        assert reach_ranks(p.goal, complex_.masks, acount, p._tables[0], p.initial, budget) is None
-        want.append((_ranks(p, complex_.masks)[p.initial] >= 0, _policy_items(p, complex_)))
+        budget = planning._reach_budget(p)
+        assert reach_ranks(p.goal, c.masks, acount, p._tables[0], p.initial, budget) is None
+        want.append((_ranks(p, c.masks)[p.initial] >= 0, _policy_items(p, c)))
     calls = _counting_rank_table(monkeypatch)
-    for p, (wins, _) in zip(problems, want):
+    for (p, c), (wins, _) in zip(cases, want):
         calls.clear()
-        assert solvable(p, complex_) == wins
+        assert solvable(p, c) == wins
         assert len(calls) == 1 and calls[0][-1] == p.initial
         calls.clear()
-        _policy_items(p, complex_)
+        _policy_items(p, c)
         assert len(calls) == 1 and calls[0][-1] == p.initial
     assert any(wins for wins, _ in want) and not all(wins for wins, _ in want)
     monkeypatch.setattr(planning, "_initial_ranks", lambda p, masks: _ranks(p, masks))
-    assert [_policy_items(p, complex_) for p in problems] == [items for _, items in want]
+    assert [_policy_items(p, c) for p, c in cases] == [items for _, items in want]
 
 
 def test_index_inverts_post(workload):
