@@ -26,8 +26,8 @@ _EXPORTS = {
         "make_cover", "make_universe",
     ),
     "enumeration": (
-        "all_classes", "all_covers", "all_partitions", "canonical_masks", "class_count",
-        "cover_count", "hasse_edges", "iter_antichain_covers", "iter_covers",
+        "all_classes", "all_covers", "all_partitions", "class_count", "cover_count",
+        "hasse_edges", "iter_antichain_covers", "iter_covers",
     ),
     "errors": (
         "CoverLatticeError", "CycleError", "SchemaError", "SizeGuardError",

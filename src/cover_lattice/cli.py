@@ -14,7 +14,7 @@ from typing import Sequence
 # Each handler imports the layers it calls, so a process loads only what its
 # subcommand uses.
 from .core import Cover, FeatureUniverse, SensorMap, invert_sensor_map, make_universe
-from .errors import CoverLatticeError, SchemaError
+from .errors import CoverLatticeError, SchemaError, guard_features
 from .formats import (
     class_doc,
     class_report_doc,
@@ -80,15 +80,19 @@ def _one_cover(docs) -> Cover:
     return covers[0]
 
 
-def _universe_arg(docs, args) -> FeatureUniverse:
+def _universe_arg(docs, args, what: str, bound: int) -> FeatureUniverse:
+    """The universe input, or else ``--max-n`` features, checked against the guard first."""
     for d in docs:
         if isinstance(d, FeatureUniverse):
+            if args.max_n is not None:
+                raise UsageError("give a universe input or --max-n N, not both")
             return d
     n = args.max_n
     if n is None:
         raise UsageError("provide a universe input or --max-n N")
     if n < 1:
         raise UsageError("--max-n must be at least 1")
+    guard_features(what, n, bound)  # before the labels are built
     return make_universe([str(i + 1) for i in range(n)])
 
 
@@ -198,35 +202,37 @@ def _cmd_proceeds(args, docs):
 
 
 def _cmd_enumerate(args, docs):
-    from .enumeration import all_covers, cover_count
+    from .enumeration import COUNT_LIMIT, COVER_ENUM_LIMIT, all_covers, cover_count
 
-    universe = _universe_arg(docs, args)
     if args.format == "json":
+        universe = _universe_arg(docs, args, "cover enumeration", COVER_ENUM_LIMIT)
         return json_text(covers_doc(universe, list(all_covers(universe)))), EXIT_OK
-    return f"{cover_count(universe, limit=args.max_n)}\n", EXIT_OK
+    universe = _universe_arg(docs, args, "cover count", COUNT_LIMIT)
+    return f"{cover_count(universe)}\n", EXIT_OK
 
 
 def _cmd_classes(args, docs):
-    from .enumeration import all_classes, class_count
+    from .enumeration import CLASS_COUNT_LIMIT, CLASS_ENUM_LIMIT, all_classes, class_count
 
-    universe = _universe_arg(docs, args)
     if args.format == "json":
+        universe = _universe_arg(docs, args, "class enumeration", CLASS_ENUM_LIMIT)
         classes = sorted(all_classes(universe), key=lambda sc: sc.representative.canonical_key)
         return json_text(classes_doc(universe, classes)), EXIT_OK
-    return f"{class_count(universe, limit=args.max_n)}\n", EXIT_OK
+    universe = _universe_arg(docs, args, "class count", CLASS_COUNT_LIMIT)
+    return f"{class_count(universe)}\n", EXIT_OK
 
 
 def _cmd_partitions(args, docs):
-    from .enumeration import all_partitions
-
-    universe = _universe_arg(docs, args)
-    limit = args.max_n
     if args.format == "dot":
-        from .star import partition_slice
+        from .star import PARTITION_SLICE_LIMIT, partition_slice
 
-        diagram = partition_slice(universe, limit=limit)
+        universe = _universe_arg(docs, args, "partition slice", PARTITION_SLICE_LIMIT)
+        diagram = partition_slice(universe)
         return export_dot(diagram.nodes, diagram.edges, name="partitions"), EXIT_OK
-    parts = all_partitions(universe, limit=limit)
+    from .enumeration import PARTITION_ENUM_LIMIT, all_partitions
+
+    universe = _universe_arg(docs, args, "partition enumeration", PARTITION_ENUM_LIMIT)
+    parts = all_partitions(universe)
     if args.format == "json":
         return json_text(covers_doc(universe, list(parts))), EXIT_OK
     return f"{len(parts)}\n", EXIT_OK
@@ -279,7 +285,7 @@ def _cmd_search_sensors(args, docs):
     from .planning import PlanningProblem, maximal_solvable_covers
 
     problem = _pick(docs, PlanningProblem, "problem")
-    found = _sorted_covers(maximal_solvable_covers(problem, limit=args.max_n))
+    found = _sorted_covers(maximal_solvable_covers(problem))
     if args.format == "json":
         return json_text(covers_doc(problem.universe, found)), EXIT_OK
     return "".join(cover_text(c) + "\n" for c in found), EXIT_OK
@@ -318,8 +324,7 @@ def _cmd_class_report(args, docs):
 FLAGS = {
     "--max-n": dict(
         type=int, dest="max_n", metavar="INT",
-        help="the universe size when no universe is input; also lifts the feature guard, "
-        "except for json enumerate and classes",
+        help="the universe size, features named 1..N, when no universe is input",
     ),
     # The keys of enumeration.ORDERS, which cli does not import at start-up.
     "--order": dict(choices=["proceeds", "star", "subsumption"], default="subsumption"),
@@ -346,7 +351,7 @@ COMMANDS = {
     "hasse": (_cmd_hasse, DRAWN, ("--order",)),
     "solve": (_cmd_solve, PLAIN, ()),
     "policy": (_cmd_policy, PLAIN, ()),
-    "search-sensors": (_cmd_search_sensors, PLAIN, ("--max-n",)),
+    "search-sensors": (_cmd_search_sensors, PLAIN, ()),
     "stipulation": (_cmd_stipulation, PLAIN, ()),
     "class-report": (_cmd_class_report, PLAIN, ()),
 }

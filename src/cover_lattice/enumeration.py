@@ -1,8 +1,8 @@
 """Exhaustive generation of covers, star classes, and partitions at desk scale.
 
 A universe of ``n`` features has ``2**n - 1`` candidate pre-images, so
-covers are subsets of that list filtered for coverage; the default bounds
-keep the candidate counts in the tens of thousands.
+covers are subsets of that list filtered for coverage.  Each listing and
+count is refused past a fixed feature bound; the streams are not guarded.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import Cover, FeatureUniverse, bits
-from .errors import CycleError, SizeGuardError, ValidationError, guard_features
+from .errors import CycleError, ValidationError, guard_features
 from .order import distinct_covers
 
 if TYPE_CHECKING:  # all_classes imports star when it runs
@@ -23,7 +23,6 @@ __all__ = [
     "all_classes",
     "all_covers",
     "all_partitions",
-    "canonical_masks",
     "class_count",
     "cover_count",
     "hasse_edges",
@@ -31,6 +30,8 @@ __all__ = [
     "iter_covers",
 ]
 
+# Each bound is the largest feature count at which its call finishes in under
+# 30 s and 1 GB; the README lists the times measured at each bound.
 COVER_ENUM_LIMIT = 4
 # A count over n features has 2**n - 1 bits: 2,466 decimal digits at n = 13,
 # 4,932 at n = 14, past the 4,300 digits Python converts to str by default.
@@ -39,7 +40,8 @@ CLASS_ENUM_LIMIT = 5
 # Counting walks every covering antichain: 7,785,062 at 6 features (about
 # 24 s), about 2.4 * 10**12 at 7.
 CLASS_COUNT_LIMIT = 6
-PARTITION_ENUM_LIMIT = 8
+# Bell(10) = 115,975 partitions; Bell(11) = 678,570.
+PARTITION_ENUM_LIMIT = 10
 
 # The orders hasse_edges draws, each as the layer and name of its relation, so
 # that star loads only when one of its orders is drawn.
@@ -50,23 +52,13 @@ ORDERS = {
 }
 
 
-def canonical_masks(universe: FeatureUniverse) -> tuple[int, ...]:
-    """Every non-empty feature subset, in canonical (cardinality, index) order."""
-    return universe.canonical_masks
-
-
-def iter_covers(universe: FeatureUniverse, *, unbounded: bool = False) -> Iterator[Cover]:
+def iter_covers(universe: FeatureUniverse) -> Iterator[Cover]:
     """Stream every valid cover exactly once, in canonical order.
 
-    ``2**(2**n - 1)`` candidate collections exist; universes larger than
-    ``COVER_ENUM_LIMIT`` features need ``unbounded=True``.
+    Unguarded: ``2**(2**n - 1)`` candidate collections exist, 32,768 at 4
+    features and about 2.1 * 10**9 at 5.
     """
-    if not unbounded and universe.n > COVER_ENUM_LIMIT:
-        raise SizeGuardError(
-            f"cover enumeration limited to {COVER_ENUM_LIMIT} features "
-            f"(got {universe.n}); pass unbounded=True to stream anyway"
-        )
-    masks = canonical_masks(universe)
+    masks = universe.canonical_masks
     full = universe.full_mask
     for k in range(1, len(masks) + 1):
         for combo in combinations(masks, k):
@@ -98,7 +90,7 @@ def iter_antichain_covers(universe: FeatureUniverse) -> Iterator[Cover]:
             yield from rec([x for x in candidates[i + 1:] if x & m != m], union | m)
             chosen.pop()
 
-    yield from rec(list(canonical_masks(universe)), 0)
+    yield from rec(list(universe.canonical_masks), 0)
 
 
 def all_covers(universe: FeatureUniverse) -> tuple[Cover, ...]:
@@ -107,27 +99,19 @@ def all_covers(universe: FeatureUniverse) -> tuple[Cover, ...]:
     Refused past ``COVER_ENUM_LIMIT`` features: 4 features give 32,297
     covers, 5 give 2,147,321,017.  Stream with ``iter_covers`` instead.
     """
-    guard_features("cover enumeration", universe.n, None, COVER_ENUM_LIMIT)
-    return tuple(iter_covers(universe, unbounded=True))
+    guard_features("cover enumeration", universe.n, COVER_ENUM_LIMIT)
+    return tuple(iter_covers(universe))
 
 
-def cover_count(universe: FeatureUniverse, *, limit: int | None = None) -> int:
+def cover_count(universe: FeatureUniverse) -> int:
     """Number of valid covers, by inclusion-exclusion over uncovered features.
 
     The collections of non-empty subsets that miss ``k`` given features
-    number ``2**(2**(n - k) - 1)``, so no cover is built.  Guarded at
-    ``COVER_ENUM_LIMIT`` features like ``all_covers``; ``limit`` lifts that
-    bound, because the count is a closed formula.  Refused past
-    ``COUNT_LIMIT`` features whatever the limit, because the count would no
-    longer print.
+    number ``2**(2**(n - k) - 1)``, so no cover is built.  Refused past
+    ``COUNT_LIMIT`` features, because the count would no longer print.
     """
-    guard_features("cover enumeration", universe.n, limit, COVER_ENUM_LIMIT)
+    guard_features("cover count", universe.n, COUNT_LIMIT)
     n = universe.n
-    if n > COUNT_LIMIT:
-        raise SizeGuardError(
-            f"cover count limited to {COUNT_LIMIT} features (got {n}): "
-            "larger counts run past 4,300 decimal digits"
-        )
     return sum((-1) ** k * comb(n, k) * 2 ** (2 ** (n - k) - 1) for k in range(n + 1))
 
 
@@ -142,24 +126,17 @@ def all_classes(universe: FeatureUniverse) -> set[StarClass]:
     """
     from .star import StarClass, star_closure
 
-    guard_features("class enumeration", universe.n, None, CLASS_ENUM_LIMIT)
+    guard_features("class enumeration", universe.n, CLASS_ENUM_LIMIT)
     return {StarClass(rep, star_closure(rep)) for rep in iter_antichain_covers(universe)}
 
 
-def class_count(universe: FeatureUniverse, *, limit: int | None = None) -> int:
+def class_count(universe: FeatureUniverse) -> int:
     """Number of star classes: the covering antichains, counted without closures.
 
-    Guarded at ``CLASS_ENUM_LIMIT`` features like ``all_classes``; ``limit``
-    lifts that bound, because counting builds no closure.  Refused past
-    ``CLASS_COUNT_LIMIT`` features whatever the limit, because the count
-    still walks every class, and 7 features have about 2.4 * 10**12.
+    Refused past ``CLASS_COUNT_LIMIT`` features, because the count still
+    walks every class.
     """
-    guard_features("class enumeration", universe.n, limit, CLASS_ENUM_LIMIT)
-    if universe.n > CLASS_COUNT_LIMIT:
-        raise SizeGuardError(
-            f"class count limited to {CLASS_COUNT_LIMIT} features (got {universe.n}): "
-            "the count walks every class, about 2.4 * 10**12 at 7"
-        )
+    guard_features("class count", universe.n, CLASS_COUNT_LIMIT)
     return sum(1 for _ in iter_antichain_covers(universe))
 
 
@@ -184,9 +161,9 @@ def _iter_index_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def all_partitions(universe: FeatureUniverse, *, limit: int | None = None) -> tuple[Cover, ...]:
+def all_partitions(universe: FeatureUniverse) -> tuple[Cover, ...]:
     """Every partition of the universe, as covers in canonical order."""
-    guard_features("partition enumeration", universe.n, limit, PARTITION_ENUM_LIMIT)
+    guard_features("partition enumeration", universe.n, PARTITION_ENUM_LIMIT)
     parts = [Cover(universe, blocks) for blocks in _iter_index_partitions(universe.n)]
     parts.sort(key=lambda c: c.canonical_key)
     return tuple(parts)

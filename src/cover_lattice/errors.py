@@ -14,15 +14,13 @@ class UniverseMismatchError(CoverLatticeError, ValueError):
 
 
 class SizeGuardError(CoverLatticeError):
-    """A desk-scale bound was exceeded; raise the limit or use a streaming variant."""
+    """A desk-scale bound was exceeded; use a streaming variant where one exists."""
 
 
-def guard_features(what: str, n: int, limit: int | None, default: int) -> int:
-    """The feature bound in force, ``limit`` or else ``default``; raise if ``n`` exceeds it."""
-    bound = default if limit is None else limit
+def guard_features(what: str, n: int, bound: int) -> None:
+    """Raise ``SizeGuardError`` if ``n`` features exceed ``bound``."""
     if n > bound:
         raise SizeGuardError(f"{what} limited to {bound} features (got {n})")
-    return bound
 
 
 class UnsolvableError(CoverLatticeError):

@@ -67,9 +67,7 @@ def criterion(num, label):
 
 @pytest.fixture(scope="module")
 def fam3(u3, covers3):
-    from cover_lattice import canonical_masks
-
-    index = {m: i for i, m in enumerate(canonical_masks(u3))}
+    index = {m: i for i, m in enumerate(u3.canonical_masks)}
     return {c: fam_bits(index, c) for c in covers3}
 
 
@@ -447,7 +445,7 @@ def test_c12_cli_contract(tmp_path, capsys, covers3):
         (("solve", "--input", junction, "--input", blind), 1),  # unsolvable
         (("policy", "--input", junction, "--input", blind), 1),  # unsolvable policy
         (("stipulation", "--input", leaky, "--input", stip), 1),  # non-compliant
-        (("enumerate", "--input", big_universe), 1),  # bound exceeded
+        (("enumerate", "--input", big_universe, "--format", "json"), 1),  # bound exceeded
         (("hasse", "--input", cycle_covers, "--order", "proceeds"), 1),  # preorder cycle
         (("join", "--input", singles, "--input", pairs2), 0),  # absent join is an answer
         (("solve", "--input", junction, "--input", pairing), 0),

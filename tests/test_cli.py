@@ -8,12 +8,10 @@ from pathlib import Path
 import pytest
 
 from cover_lattice import (
-    make_cover,
     make_universe,
+    maximal_solvable_covers,
     run_cli,
     serialize_document,
-    solvable,
-    star_closure,
 )
 from cover_lattice.cli import _sorted_covers
 from cover_lattice.formats import covers_doc, cover_text, json_text
@@ -457,9 +455,13 @@ class TestEnumeration:
 
     def test_enumerate_bound_exceeded_is_domain_error(self, capsys, files):
         upath = files("u.json", {"universe": [str(i) for i in range(5)]})
+        status, _, err = invoke(capsys, "enumerate", "--input", upath, "--format", "json")
+        assert status == 1
+        assert err == "error: cover enumeration limited to 4 features (got 5)\n"
+        upath = files("u14.json", {"universe": [str(i) for i in range(14)]})
         status, _, err = invoke(capsys, "enumerate", "--input", upath)
         assert status == 1
-        assert "limited" in err
+        assert err == "error: cover count limited to 13 features (got 14)\n"
 
     def test_classes(self, capsys):
         status, out, _ = invoke(capsys, "classes", "--max-n", "3")
@@ -611,24 +613,6 @@ class TestPlanningCommands:
 
 
 class TestSearchSensors:
-    def test_six_features_need_max_n(self, capsys, files):
-        u = make_universe([str(i + 1) for i in range(6)])
-        problem = random_problem(u, 2)
-        path = files("p6.json", json.loads(serialize_document(problem)))
-        status, out, err = invoke(capsys, "search-sensors", "--input", path)
-        assert (status, out) == (1, "")
-        assert "cover search limited to 5 features (got 6)" in err
-
-        status, out, err = invoke(capsys, "search-sensors", "--input", path, "--max-n", "6")
-        assert (status, err) == (0, "")
-        found = [make_cover(u, [s.strip("{}").split(",") for s in line.split("|")])
-                 for line in out.splitlines()]
-        assert len(found) == 3
-        assert found == _sorted_covers(found)
-        for c in found:
-            assert star_closure(c) == c
-            assert solvable(problem, c)
-
     @pytest.mark.parametrize(
         "n, make, seed",
         [(n, random_problem, seed) for n in (2, 3, 4, 5) for seed in (0, 2)]
@@ -638,6 +622,15 @@ class TestSearchSensors:
         problem = make(make_universe([str(i + 1) for i in range(n)]), seed)
         path = files("p.json", json.loads(serialize_document(problem)))
         self.check_against_class_walk(capsys, problem, path)
+
+    @pytest.mark.parametrize("n, make, seed", [(6, random_problem, 2), (9, sparse_problem, 0)])
+    def test_runs_past_the_class_walk_without_a_flag(self, capsys, files, n, make, seed):
+        problem = make(make_universe([str(i + 1) for i in range(n)]), seed)
+        path = files("p.json", json.loads(serialize_document(problem)))
+        expected = _sorted_covers(maximal_solvable_covers(problem))
+        assert len(expected) > 1  # 3 and 4 maximal complexes
+        text = "".join(cover_text(c) + "\n" for c in expected)
+        assert invoke(capsys, "search-sensors", "--input", path) == (0, text, "")
 
     def test_junction_output_matches_class_walk(self, capsys, junction, junction_doc):
         self.check_against_class_walk(capsys, junction, junction_doc)
@@ -759,61 +752,63 @@ class TestEntryPoints:
         assert proc.stdout == "15\n"
 
 
+# Each guarded CLI path at its bound + 1, with the guard's message.
+REFUSALS = {
+    "enumerate --max-n 5 --format json": "cover enumeration limited to 4 features (got 5)",
+    "classes --max-n 6 --format json": "class enumeration limited to 5 features (got 6)",
+    "enumerate --max-n 14": "cover count limited to 13 features (got 14)",
+    "classes --max-n 7": "class count limited to 6 features (got 7)",
+    "partitions --max-n 11": "partition enumeration limited to 10 features (got 11)",
+    "partitions --max-n 11 --format json": "partition enumeration limited to 10 features (got 11)",
+    "partitions --max-n 9 --format dot": "partition slice limited to 8 features (got 9)",
+    "search-sensors": "cover search limited to 9 features (got 10)",
+}
+
+
 class TestBoundPlumbing:
-    def test_partitions_dot_respects_default_slice_bound(self, capsys, files):
-        upath = files("u7.json", {"universe": [str(i) for i in range(7)]})
-        status, _, err = invoke(capsys, "partitions", "--input", upath, "--format", "dot")
-        assert status == 1
-        assert "partition slice" in err
+    @pytest.mark.parametrize("command", REFUSALS)
+    def test_refused_past_the_bound(self, files, command):
+        # Past each bound the run cannot finish in interactive time.  A child
+        # with a timeout fails the test instead of hanging the suite.
+        argv = tuple(command.split())
+        if command == "search-sensors":
+            states = [str(i + 1) for i in range(10)]
+            problem = files(
+                "p10.json",
+                {
+                    "states": states,
+                    "actions": ["a"],
+                    "transition": {s: {"a": [s]} for s in states},
+                    "initial": ["1"],
+                    "goal": ["1"],
+                },
+            )
+            argv = (*argv, "--input", problem)
+        status, out, err = run_module(*argv, timeout=10)
+        assert (status, out) == (1, b"")
+        assert err == f"error: {REFUSALS[command]}\n".encode()
+
+    def test_huge_max_n_builds_no_universe(self):
+        # Five million labels would take seconds and hundreds of MB; the guard
+        # runs on N before any label is built.
+        status, out, err = run_module("enumerate", "--max-n", "5000000", timeout=2)
+        assert (status, out) == (1, b"")
+        assert err == b"error: cover count limited to 13 features (got 5000000)\n"
+
+    @pytest.mark.parametrize("name", ["enumerate", "classes", "partitions"])
+    def test_max_n_with_universe_input_is_usage_error(self, capsys, files, name):
+        upath = files("u.json", {"universe": ["a", "b"]})
+        status, out, err = invoke(capsys, name, "--input", upath, "--max-n", "2")
+        assert (status, out) == (2, "")
+        assert err == "error: give a universe input or --max-n N, not both\n"
 
     def test_partitions_dot_max_n_flows_through(self, capsys, files):
-        upath = files("u6.json", {"universe": [str(i) for i in range(6)]})
-        # tightening the bound below the default proves the flag reaches the guard
-        status, _, err = invoke(
-            capsys, "partitions", "--input", upath, "--format", "dot", "--max-n", "5"
-        )
-        assert status == 1 and "limited to 5" in err
-        status, out, _ = invoke(capsys, "partitions", "--input", upath, "--format", "dot")
+        # --max-n sizes the universe of the drawing, as a universe input does
+        status, by_size, _ = invoke(capsys, "partitions", "--max-n", "6", "--format", "dot")
         assert status == 0
-        assert out.count(";") == 1 + 203 + 856  # rankdir, Bell(6) nodes, reduction edges
-
-    def test_search_sensors_bound(self, capsys, files):
-        states = ["1", "2", "3", "4", "5", "6"]
-        problem = files(
-            "p6.json",
-            {
-                "states": states,
-                "actions": ["a"],
-                "transition": {s: {"a": [s]} for s in states},
-                "initial": ["1"],
-                "goal": ["1"],
-            },
-        )
-        status, _, err = invoke(capsys, "search-sensors", "--input", problem)
-        assert status == 1
-        assert "cover search" in err
-
-    @pytest.mark.parametrize(
-        "argv,message",
-        [
-            (("enumerate", "--max-n", "5"), "cover enumeration limited to 4 features (got 5)"),
-            (("classes", "--max-n", "6"), "class enumeration limited to 5 features (got 6)"),
-        ],
-    )
-    def test_max_n_does_not_lift_json_listings(self, argv, message):
-        # Past these bounds a listing cannot finish (2,147,321,017 covers at 5
-        # features, 7,785,062 classes at 6), so --max-n only sizes the universe.
-        # A child with a timeout fails the test instead of hanging the suite.
-        status, out, err = run_module(*argv, "--format", "json", timeout=10)
-        assert status == 1 and out == b""
-        assert err == f"error: {message}\n".encode()
-
-    def test_max_n_lifts_class_count_to_six_only(self):
-        # Counting walks every class, so a count at 7 features would run for
-        # months; it must be refused at once, whatever --max-n says.
-        status, out, err = run_module("classes", "--max-n", "7", timeout=10)
-        assert status == 1 and out == b""
-        assert err.startswith(b"error: class count limited to 6 features (got 7)")
+        assert by_size.count(";") == 1 + 203 + 856  # rankdir, Bell(6) nodes, reduction edges
+        upath = files("u6.json", {"universe": [str(i + 1) for i in range(6)]})
+        assert invoke(capsys, "partitions", "--input", upath, "--format", "dot") == (0, by_size, "")
 
     def test_classes_default_bound_is_five(self, capsys, files):
         upath = files("u5.json", {"universe": [str(i) for i in range(5)]})
@@ -832,7 +827,7 @@ COMMAND_NAMES = [
 # read, and the subcommands that read each.
 EXTRA_FLAGS = {
     "order": (["--order", "star"], {"hasse"}),
-    "max-n": (["--max-n", "4"], {"enumerate", "classes", "partitions", "search-sensors"}),
+    "max-n": (["--max-n", "4"], {"enumerate", "classes", "partitions"}),
     "dot": (["--format", "dot"], {"hasse", "partitions"}),
 }
 

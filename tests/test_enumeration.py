@@ -35,16 +35,16 @@ class TestAllCovers:
     def test_count_matches_formula_and_enumeration(self):
         for n in range(1, 14):
             u = make_universe([str(i + 1) for i in range(n)])
-            assert cover_count(u, limit=n) == cover_count_formula(n)
+            assert cover_count(u) == cover_count_formula(n)
             if n <= 4:
                 assert cover_count(u) == len(all_covers(u))
 
     def test_count_guards(self):
-        with pytest.raises(SizeGuardError, match="cover enumeration limited to 4"):
-            cover_count(make_universe([str(i) for i in range(5)]))
-        # past 13 features the count is refused whatever the limit
-        with pytest.raises(SizeGuardError, match="cover count limited to 13"):
-            cover_count(make_universe([str(i) for i in range(14)]), limit=14)
+        # the count is a closed formula, so it is not bound by the listing's 4
+        assert cover_count(make_universe([str(i) for i in range(5)])) == 2147321017
+        # past 13 features the count would no longer print
+        with pytest.raises(SizeGuardError, match=r"cover count limited to 13 features \(got 14\)"):
+            cover_count(make_universe([str(i) for i in range(14)]))
 
     def test_n1_single_cover(self, u1):
         assert all_covers(u1) == (C(u1, "1"),)
@@ -59,14 +59,12 @@ class TestAllCovers:
         assert keys == sorted(keys)
 
     def test_guard_and_stream_flag(self):
+        # the listing is guarded; the stream is not, like the other streams
         u5 = make_universe(list("abcde"))
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError, match=r"cover enumeration limited to 4 features \(got 5\)"):
             all_covers(u5)
-        with pytest.raises(SizeGuardError):
-            next(iter_covers(u5))
-        stream = iter_covers(u5, unbounded=True)
-        first = next(stream)
-        assert first.universe == u5
+        first = next(iter_covers(u5))
+        assert first.universe == u5 and first.masks == (u5.full_mask,)
 
 
 class TestAllClasses:
@@ -103,25 +101,22 @@ class TestClassCount:
         assert class_count(u) == len(all_classes(u))
 
     def test_guarded_like_all_classes(self):
-        u6 = make_universe(list("abcdef"))
-        with pytest.raises(SizeGuardError, match="class enumeration limited to 5"):
-            class_count(u6)
-        with pytest.raises(SizeGuardError, match="class enumeration limited to 5"):
-            all_classes(u6)
-        assert class_count(make_universe(list("ab")), limit=2) == 2
-        with pytest.raises(SizeGuardError):
-            class_count(make_universe(list("ab")), limit=1)
+        # Both are guarded, each at its own bound: the listing at 5 features,
+        # the count, which builds no closure, at 6.
+        with pytest.raises(SizeGuardError, match=r"class enumeration limited to 5 features \(got 6\)"):
+            all_classes(make_universe(list("abcdef")))
+        assert class_count(make_universe(list("abcde"))) == 6894
 
-    @pytest.mark.parametrize("limit", [7, 30])
-    def test_refused_past_six_whatever_the_limit(self, limit, monkeypatch):
-        # 7 features have about 2.4 * 10**12 classes: a lifted count cannot
-        # finish.  A walk that starts fails at once instead of hanging.
+    @pytest.mark.parametrize("n", [7, 30])
+    def test_refused_past_six_whatever_the_limit(self, n, monkeypatch):
+        # 7 features have about 2.4 * 10**12 classes: a count cannot finish.
+        # A walk that starts fails at once instead of hanging.
         def walk(universe):
             raise AssertionError("class_count started walking the classes")
 
         monkeypatch.setattr(enumeration, "iter_antichain_covers", walk)
-        with pytest.raises(SizeGuardError, match=r"class count limited to 6 features \(got 7\)"):
-            class_count(make_universe(list("abcdefg")), limit=limit)
+        with pytest.raises(SizeGuardError, match=rf"class count limited to 6 features \(got {n}\)"):
+            class_count(make_universe([str(i) for i in range(n)]))
 
 
 class TestIterAntichainCovers:
@@ -165,9 +160,9 @@ class TestAllPartitions:
         assert all(is_partition(p) for p in all_partitions(u4))
 
     def test_guard(self):
-        u9 = make_universe([str(i) for i in range(9)])
-        with pytest.raises(SizeGuardError):
-            all_partitions(u9)
+        u11 = make_universe([str(i) for i in range(11)])
+        with pytest.raises(SizeGuardError, match=r"partition enumeration limited to 10 features \(got 11\)"):
+            all_partitions(u11)
 
 
 class TestHasseEdges:

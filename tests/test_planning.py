@@ -11,7 +11,6 @@ from cover_lattice import (
     UniverseMismatchError,
     UnsolvableError,
     ValidationError,
-    canonical_masks,
     extract_policy,
     find_policy_counterexample,
     make_problem,
@@ -353,9 +352,9 @@ class TestMaximalSolvableCovers:
         assert maximal_solvable_covers(p) == {C(u2, "1", "2", "12")}
 
     def test_guard(self):
-        u = make_universe([str(i) for i in range(6)])
-        p = PlanningProblem(u, ("a",), (tuple(1 << i for i in range(6)),), 1, 1)
-        with pytest.raises(SizeGuardError):
+        u = make_universe([str(i) for i in range(10)])
+        p = PlanningProblem(u, ("a",), (tuple(1 << i for i in range(10)),), 1, 1)
+        with pytest.raises(SizeGuardError, match=r"cover search limited to 9 features \(got 10\)"):
             maximal_solvable_covers(p)
 
     @pytest.mark.parametrize("n_actions", [1, 2, 3])
@@ -373,7 +372,7 @@ class TestMaximalSolvableCovers:
         assert len(got) == 5
         for c in got:
             assert solvable(p, c)
-            for m in canonical_masks(u):
+            for m in u.canonical_masks:
                 if m not in c.mask_set:
                     assert not solvable(p, Cover(u, c.masks + (m,)))
 
@@ -389,19 +388,19 @@ class TestMaximalSolvableCovers:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("make", [random_problem, sparse_problem])
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_border_beyond_the_class_walk(self, n, make, seed):
         u = make_universe([str(i + 1) for i in range(n)])
         p = make(u, seed)
-        got = maximal_solvable_covers(p, limit=n)
+        got = maximal_solvable_covers(p)
         if not got:
-            assert not solvable(p, Cover(u, canonical_masks(u)[:n]))
+            assert not solvable(p, Cover(u, u.canonical_masks[:n]))
         for c in got:
             assert solvable(p, c)
             assert star_closure(c) is c
             for other in got:
                 assert c == other or not subsumes(c, other)
-            for m in canonical_masks(u):
+            for m in u.canonical_masks:
                 below = [m ^ 1 << i for i in range(n) if m >> i & 1 and m != 1 << i]
                 if m not in c.mask_set and all(b in c.mask_set for b in below):
                     assert not solvable(p, Cover(u, c.masks + (m,)))

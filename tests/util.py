@@ -19,7 +19,6 @@ from math import comb
 from cover_lattice import (
     Cover,
     PlanningProblem,
-    canonical_masks,
     iter_antichain_covers,
     iter_covers,
     make_cover,
@@ -77,13 +76,14 @@ def fam_bits(index: dict[int, int], cover: Cover) -> int:
 
 
 def exhaustive_maximal_solvable_covers(problem: PlanningProblem) -> set[Cover]:
-    """Maximal solvable covers by ranking every cover (guarded at 4 features).
+    """Maximal solvable covers by ranking every cover (at most 4 features).
 
     A solvable cover is maximal iff no single-pre-image extension of it is
     solvable, because solvable covers are closed under covering
     sub-collections.
     """
-    index = {m: i for i, m in enumerate(canonical_masks(problem.universe))}
+    assert problem.universe.n <= 4, "the cover walk ranks 2**(2**n - 1) covers"
+    index = {m: i for i, m in enumerate(problem.universe.canonical_masks)}
     by_fam = {
         fam_bits(index, c): c for c in iter_covers(problem.universe) if solvable(problem, c)
     }
