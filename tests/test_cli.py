@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 from cover_lattice import (
+    make_cover,
     make_universe,
     maximal_solvable_covers,
     run_cli,
     serialize_document,
+    solvable,
+    star_closure,
 )
 from cover_lattice.cli import _sorted_covers
 from cover_lattice.formats import covers_doc, cover_text, json_text
@@ -632,6 +635,26 @@ class TestSearchSensors:
         text = "".join(cover_text(c) + "\n" for c in expected)
         assert invoke(capsys, "search-sensors", "--input", path) == (0, text, "")
 
+    def test_six_features_need_max_n(self, capsys, files):
+        # Six features once needed --max-n 6 to lift the search bound.  They
+        # now run under the fixed bound of 9, and --max-n is no option here.
+        u = make_universe([str(i + 1) for i in range(6)])
+        problem = random_problem(u, 2)
+        path = files("p6.json", json.loads(serialize_document(problem)))
+        status, out, err = invoke(capsys, "search-sensors", "--input", path)
+        assert (status, err) == (0, "")
+        found = [make_cover(u, [s.strip("{}").split(",") for s in line.split("|")])
+                 for line in out.splitlines()]
+        assert len(found) == 3
+        assert found == _sorted_covers(found)
+        for c in found:
+            assert star_closure(c) == c
+            assert solvable(problem, c)
+
+        status, out, err = invoke(capsys, "search-sensors", "--input", path, "--max-n", "6")
+        assert (status, out) == (2, "")
+        assert "unrecognized arguments: --max-n 6" in err
+
     def test_junction_output_matches_class_walk(self, capsys, junction, junction_doc):
         self.check_against_class_walk(capsys, junction, junction_doc)
 
@@ -787,6 +810,25 @@ class TestBoundPlumbing:
         status, out, err = run_module(*argv, timeout=10)
         assert (status, out) == (1, b"")
         assert err == f"error: {REFUSALS[command]}\n".encode()
+
+    def test_search_sensors_bound(self, capsys, files):
+        # The table refuses a 10-state problem; 9 states is the bound itself
+        # and runs.  Initial is goal, so every nonempty subset is one face.
+        states = [str(i + 1) for i in range(9)]
+        problem = files(
+            "p9.json",
+            {
+                "states": states,
+                "actions": ["a"],
+                "transition": {s: {"a": [s]} for s in states},
+                "initial": ["1"],
+                "goal": ["1"],
+            },
+        )
+        status, out, err = invoke(capsys, "search-sensors", "--input", problem)
+        assert (status, err) == (0, "")
+        assert out.count("\n") == 1
+        assert out.count("|") == 2**9 - 2
 
     def test_huge_max_n_builds_no_universe(self):
         # Five million labels would take seconds and hundreds of MB; the guard
