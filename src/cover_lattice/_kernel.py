@@ -1,49 +1,59 @@
 """The belief-ranking kernel: the worst-case fixpoint behind every plan.
 
 The worst-case fixpoint gives a cover its operational meaning.
-``rank_table`` ranks every belief, for ``winning_beliefs`` and the sensor
+``rank_levels`` ranks every belief, for ``winning_beliefs`` and the sensor
 search; ``reach_ranks`` ranks only the beliefs the initial belief reaches,
 for ``solvable`` and ``extract_policy``.  Both are plain Python.  ``BACKEND``
 names the implementation and is re-exported as
 ``cover_lattice.KERNEL_BACKEND``.
 
 A problem is prepared once: ``post_table`` folds its transitions into the
-belief reached from every post-sensing belief under every action, and
-``predecessor_index`` inverts that table.  Each cover is then ranked by a
-level-synchronous attractor, the AND-OR game construction (Zielonka, TCS
-1998) computed a set at a time, as in symbolic model checking (Burch,
-Clarke, McMillan, Dill & Hwang, LICS 1990).  A set of beliefs is one Python
-int, bit ``b`` for belief ``b``.  Rank 0 is the beliefs inside the goal, and
-level ``k`` turns the beliefs of rank ``k`` into those of rank ``k + 1``:
+belief reached from every post-sensing belief under every action, for
+``reach_ranks`` and the policy code, and ``strong_preimages`` tabulates, per
+byte of a belief ``x`` and per action ``a``, the states whose successors
+lie inside ``x``.  Each cover is then ranked by a level-synchronous
+attractor, the AND-OR game construction (Zielonka, TCS 1998) computed a set
+at a time, as in symbolic model checking (Burch, Clarke, McMillan, Dill &
+Hwang, LICS 1990).  A set of beliefs is one Python int, bit ``b`` for
+belief ``b``, and the result is one such int per rank.  Rank 0 is the
+beliefs inside the goal, and level ``k`` turns the beliefs of rank ``k``
+into those of rank ``k + 1``:
 
-1. Every post-sensing belief ``y`` with an action into a belief of rank
-   ``k`` that was not yet safe becomes safe, at value ``k``, its cheapest
-   action.  This push walks the predecessor index belief by belief.
-2. For each reading ``r``, the newly safe beliefs inside ``r`` are spread
+1. A sub-belief is never harder to win from, so the beliefs ranked so far
+   form a down-set (Bertoli, Cimatti, Roveri & Traverso, AIJ 2006).  Its
+   new maximal beliefs are those of rank ``k`` with no ranked one-larger
+   superset, found with one shift-and per feature.
+2. ``post`` is a union over states, so a post-sensing belief ``y`` has an
+   action ``a`` into the down-set iff ``y`` lies inside the strong preimage
+   ``pre_a(m) = {s : T_a[s] ⊆ m}`` of one of its maximal beliefs ``m``
+   (Cimatti, Pistore, Roveri & Traverso, AIJ 2003).  Each new maximal
+   belief's ``pre_a`` is the AND of one table entry per byte, and is marked
+   in a flag per belief.  Down-closing the marks, one shift-or per feature,
+   gives every safe post-sensing belief; those not safe before become safe
+   at value ``k``, their cheapest action's.
+3. For each reading ``r``, the newly safe beliefs inside ``r`` are spread
    over the features outside ``r``, one ``d |= d << (1 << i)`` per such
    feature ``i``.  That adds every belief ``b`` with ``b & r`` newly safe:
    sensing ``r`` at ``b`` leaves ``b & r``, so ``r`` is resolved at ``b``.
    Each reading's set starts as the beliefs it misses.
-3. The AND of those sets over all readings holds the beliefs whose every
-   intersecting reading is resolved.
-4. Each of them not yet ranked takes rank ``k + 1``: the last of its
-   readings to resolve is its worst one.
+4. The AND of those sets over all readings, less the beliefs already
+   ranked, is rank ``k + 1``: the last reading of each to resolve is its
+   worst one.
 
 The ranks are the fixpoint levels of the textbook sweep (rank ``k`` iff
 every intersecting reading has an action into rank below ``k``).  A call
-costs levels * readings * features shift-ors on 2^n-bit ints, each one
-pass in C, plus O(2^n * A) interpreted predecessor pushes and one rank
-store per belief, for ``A`` actions.  No step of the fan-out over the
-readings runs once per belief in Python.
+costs levels * (2n + readings * features) shift-ors on 2^n-bit ints, each
+one pass in C, plus maximal beliefs * A * ceil(n/8) interpreted table
+lookups, for ``A`` actions.  Nothing runs once per belief in Python.  The
+lookups are the most when nearly every new belief is maximal, as under blind
+sensing with one action per state into the goal: about A * 2^(n-1) of them.
 
-Levels come in increasing rank, and a level is computed whole before any
-of its beliefs is ranked, so an entry is final the moment it is set.
-``until`` uses this: each level is tested for that belief once, before it
-is ranked, and the call returns at the first level that holds it, with
-only that belief's entry set from the level.  Every entry of lower rank is
-then set and exact, and every entry still -1 ranks at least as high or not
-at all.  ``winning_beliefs`` ranks every belief, and the sensor search
-stops at the initial belief.
+Levels come in increasing rank and each is computed whole, so a level is
+final the moment it is returned.  ``until`` uses this: each level is tested
+for that belief once, and the call returns with the first level that holds
+it as its last.  Every belief of lower rank is then in a level, and a belief
+in none ranks at least as high or not at all.  ``winning_beliefs`` ranks
+every belief, and the sensor search stops at the initial belief.
 
 ``solvable`` and ``extract_policy`` need only the beliefs the initial belief
 can reach, often a few dozen of the 2^n.  ``reach_ranks`` explores that part
@@ -51,27 +61,28 @@ forward, then runs the same level-synchronous attractor backward over it,
 one belief at a time, and stops once the initial belief is ranked: a local
 fixpoint (Liu & Smolka, ICALP 1998), as in AND-OR heuristic search (Hansen
 & Zilberstein, AIJ 2001).  A belief's rank depends only on the beliefs it
-reaches, so every belief it ranks gets its ``rank_table`` rank.  Exploring
+reaches, so every belief it ranks gets its ``rank_levels`` rank.  Exploring
 costs one unit per reading intersected and one per post lookup.  Past the
-caller's budget it returns ``None``, and the caller ranks the full table.
-``solvable`` and ``extract_policy`` pass ``A * 2^(n-1)``, half a full
-table's predecessor pushes: on covers of hundreds of readings over a wide
-reachable part, exploring alone measured up to 28 times slower than the
-table, and the hand-over keeps such calls near the table's time.
+caller's budget it returns ``None``, and the caller ranks the full levels.
+``solvable`` and ``extract_policy`` pass ``A * 2^(n-1)`` exploring steps:
+on covers of hundreds of readings over a wide reachable part, exploring
+alone measured up to 28 times slower than the full table, and the
+hand-over keeps such calls near the table's time.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from operator import and_
 
 __all__ = [
     "BACKEND",
     "Ranks",
     "post_table",
-    "predecessor_index",
-    "rank_table",
+    "rank_levels",
     "reach_ranks",
+    "strong_preimages",
     "subset_bits",
 ]
 
@@ -94,31 +105,6 @@ def post_table(n, transitions):
         for a in range(acount):
             post[base + a] = post[rest_base + a] | transitions[a][s]
     return array("l", post)
-
-
-def predecessor_index(n, n_actions, post):
-    """Compressed rows of ``post`` inverted: who reaches each belief in one action.
-
-    Returns ``(start, preds)``: the post-sensing beliefs ``y`` with
-    ``post[y * n_actions + a] == x`` for some action ``a`` are
-    ``preds[start[x]:start[x + 1]]``, in increasing order.  A ``y`` that
-    reaches ``x`` under several actions is listed once per action.
-    """
-    size = 1 << n
-    counts = [0] * (size + 1)
-    for x in post[n_actions:]:
-        counts[x + 1] += 1
-    total = 0
-    for x in range(size + 1):
-        total += counts[x]
-        counts[x] = total
-    start = array("l", counts)
-    preds = array("l", [0]) * total
-    fill = counts  # the next free slot of each row, starting at the row's start
-    for i, x in enumerate(post[n_actions:], n_actions):
-        preds[fill[x]] = i // n_actions
-        fill[x] += 1
-    return start, preds
 
 
 def subset_bits(mask):
@@ -148,27 +134,62 @@ def _mask_sets(mask, full):
     return subset_bits(mask), subset_bits(comp), lows
 
 
-def rank_table(n, goal_mask, preimage_masks, n_actions, post, index, until=0):
-    """Steps-to-goal rank for every belief bitmask in ``range(1 << n)``.
+def strong_preimages(n, transitions):
+    """Byte tables of the strong preimages ``pre_a(x) = {s : T_a[s] ⊆ x}``.
 
-    The readings' pre-images ``preimage_masks`` cover the ``n`` states.
-    ``post[b * n_actions + a]`` is the belief reached from post-sensing
-    belief ``b`` under action ``a``, with nondeterminism folded into the
-    union; ``index`` is ``predecessor_index(n, n_actions, post)``.  Rank 0
-    marks beliefs inside the goal and -1 marks beliefs from which the goal
-    cannot be guaranteed.  A belief of rank ``k > 0`` has, for every
+    ``transitions[a][s]`` is the successor-set bitmask of state ``s`` under
+    action ``a``.  Table ``j`` maps byte ``j`` of a belief ``x`` to one
+    entry per action: the states whose successors, on byte ``j``'s
+    features, lie inside ``x``.  ``pre_a(x)`` is the AND of entry ``a``
+    over the bytes of ``x``, the idiom of ``FeatureUniverse.belief_of``.
+    """
+    tables = []
+    for lo in range(0, n, 8):
+        width = min(8, n - lo)
+        byte = (1 << width) - 1
+        per_action = []
+        for row in transitions:
+            # Mark each state at its successors' byte, then close upwards:
+            # entry v holds the states whose byte is a subset of v.
+            table = [0] * (1 << width)
+            for s, succ in enumerate(row):
+                table[succ >> lo & byte] |= 1 << s
+            for i in range(width):
+                bit = 1 << i
+                for v in range(bit, 1 << width):
+                    if v & bit:
+                        table[v] |= table[v ^ bit]
+            per_action.append(table)
+        tables.append(tuple(tuple(t[v] for t in per_action) for v in range(1 << width)))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=64)
+def _feature_sets(n):
+    """Per feature ``i``: its shift amount ``1 << i`` and the beliefs that hold it."""
+    full = (1 << n) - 1
+    every = subset_bits(full)
+    return tuple((1 << i, every ^ subset_bits(full ^ 1 << i)) for i in range(n))
+
+
+def rank_levels(n, goal_mask, preimage_masks, strong, until=0):
+    """The beliefs of each rank, rank 0 first, one bitset int per rank.
+
+    Bit ``b`` of ``levels[k]`` is set iff belief ``b`` has rank ``k``: the
+    readings' pre-images ``preimage_masks`` cover the ``n`` states, ``strong``
+    is ``strong_preimages(n, transitions)``, and rank 0 holds the non-empty
+    beliefs inside the goal.  A belief of rank ``k > 0`` has, for every
     intersecting reading, an action into a belief ranked strictly below
     ``k``, so ranks strictly decrease along every adversarial execution
-    branch.
+    branch.  A belief in no level cannot guarantee the goal.
 
-    When ``until`` names a belief, the call returns as soon as that belief
-    is ranked; other entries of its rank or higher then read -1.  The
-    default, 0, is never ranked, so every belief is.
+    When ``until`` names a belief, the call returns with the first level that
+    holds it, whole, as its last level; every belief of higher rank is then
+    in no level.  The default, 0, is never ranked, so every level is
+    returned.
     """
-    start, preds = index
     size = 1 << n
     full = size - 1
-    rank = [-1] * size
     inside = []  # per reading: the beliefs it contains
     outside = []  # per reading: the features it misses, as shift amounts
     resolved = []  # per reading: the beliefs it misses or leaves safe
@@ -178,27 +199,43 @@ def rank_table(n, goal_mask, preimage_masks, n_actions, post, index, until=0):
         resolved.append(missing)
         outside.append(lows)
     readings = range(len(inside))
-    # ASCII "1" at index ``full - y`` once post-sensing belief ``y`` is safe.
+    features = _feature_sets(n)
+    low_table = strong[0]
+    high = tuple(zip(range(8, n, 8), strong[1:]))  # (shift, table) of every other byte
+    # ASCII "1" at index ``full - y`` once post-sensing belief ``y`` is the
+    # strong preimage of a ranked belief under some action.
     flags = bytearray(b"0") * size
-    safe = 0
+    safe = 1  # the post-sensing beliefs with an action into a ranked belief, and bit 0
     ranked = _mask_sets(goal_mask, full)[0]  # bit 0 stays set: the empty belief is never ranked
     new = ranked ^ 1
-    k = 0
+    levels = []
     while new:
+        levels.append(new)
         if new >> until & 1:
-            rank[until] = k
-            return rank
-        # "0b" and the bits of ``new``, most significant first: belief ``top - i`` at index ``i``.
-        bits = bin(new)
+            break
+        # The ranked beliefs are a down-set, so the post-sensing beliefs with
+        # an action into them are the subsets of the strong preimages of its
+        # maximal beliefs.  Those already maximal before this level were
+        # marked then; the new ones are those with no one-larger superset.
+        tops = new
+        for low, holds in features:
+            tops &= ~((ranked & holds) >> low)
+        # "0b" and the bits of ``tops``, most significant first: belief ``top - i`` at index ``i``.
+        bits = bin(tops)
         top = len(bits) - 1
         i = bits.find("1")
         while i >= 0:
-            x = top - i
-            rank[x] = k
-            for y in preds[start[x] : start[x + 1]]:
-                flags[full - y] = 49
+            m = top - i
+            pres = low_table[m & 255]
+            for shift, table in high:
+                pres = map(and_, pres, table[m >> shift & 255])
+            for pre in pres:
+                flags[full - pre] = 49
             i = bits.find("1", i + 1)
-        fresh = int(flags, 2) & ~safe
+        closure = int(flags, 2)
+        for low, holds in features:
+            closure |= (closure & holds) >> low
+        fresh = closure & ~safe
         if not fresh:
             break
         safe |= fresh
@@ -211,8 +248,7 @@ def rank_table(n, goal_mask, preimage_masks, n_actions, post, index, until=0):
                 resolved[j] |= d
             new &= resolved[j]
         ranked |= new
-        k += 1
-    return rank
+    return levels
 
 
 class Ranks(dict):
@@ -225,13 +261,15 @@ class Ranks(dict):
 
 
 def reach_ranks(goal_mask, preimage_masks, n_actions, post, initial, budget):
-    """``rank_table``'s ranks on the beliefs ``initial`` reaches, up to its own.
+    """``rank_levels``' ranks on the beliefs ``initial`` reaches, up to its own.
 
-    The arguments mean what they mean for ``rank_table``.  Each pre-sensing
+    ``goal_mask`` and ``preimage_masks`` mean what they mean for
+    ``rank_levels``; ``post[y * n_actions + a]`` is the belief reached from
+    post-sensing belief ``y`` under action ``a``.  Each pre-sensing
     belief ``b`` outside the goal leads to its post-sensing beliefs
     ``b & r``, and each of those to ``post[y * n_actions + a]``.  The result
     maps each belief ranked below ``initial``, and ``initial`` if it is
-    winning, to its ``rank_table`` rank; every other belief reads -1, and
+    winning, to its ``rank_levels`` rank; every other belief reads -1, and
     ranks at least as high as ``initial`` or not at all.
 
     Exploring costs one unit per reading intersected and one per post

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
-from ._kernel import Ranks, post_table, predecessor_index, rank_table, reach_ranks
+from ._kernel import Ranks, post_table, rank_levels, reach_ranks, strong_preimages
 from .core import Cover, FeatureUniverse, bits
 from .errors import (
     SizeGuardError,
@@ -98,9 +98,9 @@ class PlanningProblem:
 
     @cached_property
     def _tables(self):
-        """The kernel's per-problem tables: ``post`` and its predecessor index."""
-        post = post_table(self.universe.n, self.transitions)
-        return post, predecessor_index(self.universe.n, len(self.actions), post)
+        """The kernel's per-problem tables: ``post`` and the strong-preimage tables."""
+        n = self.universe.n
+        return post_table(n, self.transitions), strong_preimages(n, self.transitions)
 
     @property
     def initial_states(self) -> Belief:
@@ -188,56 +188,72 @@ def _check_states(p: PlanningProblem) -> None:
         )
 
 
-def _ranks(p: PlanningProblem, masks: tuple[int, ...], until: int = 0) -> list[int]:
-    post, index = p._tables
-    return rank_table(p.universe.n, p.goal, masks, len(p.actions), post, index, until)
+def _levels(p: PlanningProblem, masks: tuple[int, ...], until: int = 0) -> list[int]:
+    return rank_levels(p.universe.n, p.goal, masks, p._tables[1], until)
 
 
 def _reach_budget(p: PlanningProblem) -> int:
     """Exploring steps before ``_initial_ranks`` hands over: ``A * 2^(n-1)``.
 
-    That is half a full table's predecessor pushes, for ``A`` actions.  Of
-    the bounds ``A * 2^n`` times 1/16 to 8, a quarter and a half cost least
-    in total over the measured problems (``BENCH_13.json``), and a half is
-    the one that no problem/cover pair of 40 seeded ``plan`` passes reaches.
+    ``A`` is the number of actions.  Of the bounds ``A * 2^n`` times 1/16
+    to 8, a quarter and a half cost least in total over the measured
+    problems (``BENCH_13.json``), and a half is the one that no
+    problem/cover pair of 40 seeded ``plan`` passes reaches.
     """
     return (len(p.actions) << p.universe.n) >> 1
 
 
-def _initial_ranks(p: PlanningProblem, masks: tuple[int, ...]) -> Ranks | list[int]:
+def _initial_ranks(p: PlanningProblem, masks: tuple[int, ...]) -> Ranks:
     """Exact ranks below the initial belief's, and its own; -1 for a belief not ranked.
 
     The beliefs the initial one reaches are ranked on their own while
-    exploring them takes at most ``_reach_budget`` steps; past that the
-    full table is ranked, up to the initial belief.
+    exploring them takes at most ``_reach_budget`` steps; past that every
+    belief is ranked, level by level, up to the initial belief's level.
     """
     ranks = reach_ranks(
         p.goal, masks, len(p.actions), p._tables[0], p.initial, _reach_budget(p)
     )
-    return _ranks(p, masks, until=p.initial) if ranks is None else ranks
+    if ranks is None:
+        ranks = Ranks()
+        for k, level in enumerate(_levels(p, masks, until=p.initial)):
+            ranks.update(dict.fromkeys(_ascending(level), k))
+    return ranks
+
+
+def _ascending(level: int):
+    """The beliefs of a level, in ascending mask order."""
+    # "0b" and the bits of ``level``, least significant first: belief ``i`` at index ``i``.
+    bits = bin(level)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 class _WinningBeliefs(Set):
-    """Read-only set of the winning beliefs, read from a full rank table.
+    """Read-only set of the winning beliefs, read from the OR of every level.
 
-    Nothing is decoded up front: ``len`` counts ranked entries, ``in`` looks
-    up one mask, and iteration decodes each ranked belief with ``belief_of``,
-    in ascending mask order, every time it runs.  The comparisons and set
+    Nothing is decoded up front: ``len`` counts set bits, ``in`` tests one
+    bit, and iteration decodes each winning belief with ``belief_of``, in
+    ascending mask order, every time it runs.  The comparisons and set
     operators are the ``Set`` mixins, and the operators return plain sets.
     """
 
-    __slots__ = ("_universe", "_ranks")
+    __slots__ = ("_universe", "_won")
 
-    def __init__(self, universe: FeatureUniverse, ranks: list[int]):
+    def __init__(self, universe: FeatureUniverse, levels: list[int]):
         self._universe = universe
-        self._ranks = ranks
+        won = 0
+        for level in levels:
+            won |= level
+        self._won = won
 
     @classmethod
     def _from_iterable(cls, it):
         return set(it)
 
     def __len__(self):
-        return len(self._ranks) - self._ranks.count(-1)
+        return self._won.bit_count()
 
     def __contains__(self, belief):
         # Only a non-empty set of known labels is a belief.  Without the type
@@ -248,13 +264,10 @@ class _WinningBeliefs(Set):
             mask = self._universe.mask_of(belief)
         except ValidationError:
             return False
-        return self._ranks[mask] >= 0
+        return self._won >> mask & 1 == 1
 
     def __iter__(self):
-        belief_of = self._universe.belief_of
-        for b, r in enumerate(self._ranks):
-            if r >= 0:
-                yield belief_of(b)
+        return map(self._universe.belief_of, _ascending(self._won))
 
     def __repr__(self):
         n = self._universe.n
@@ -264,14 +277,14 @@ class _WinningBeliefs(Set):
 def winning_beliefs(p: PlanningProblem, c: Cover) -> AbstractSet[Belief]:
     """Beliefs from which some policy guarantees reaching the goal under ``c``.
 
-    The result is a read-only set view over the rank table.  ``len`` and
+    The result is a read-only set view over the ranked levels.  ``len`` and
     ``in`` decode nothing, but each iteration decodes every winning belief
     again, and so does comparing the view with a set of the same size.
     ``set(winning_beliefs(p, c))`` gives a mutable copy; take it once if the
     beliefs are to be read more than once.
     """
     _check_pair(p, c)
-    return _WinningBeliefs(p.universe, _ranks(p, c.masks))
+    return _WinningBeliefs(p.universe, _levels(p, c.masks))
 
 
 def solvable(p: PlanningProblem, c: Cover) -> bool:
@@ -456,9 +469,9 @@ def maximal_solvable_covers(p: PlanningProblem) -> set[Cover]:
         if any(bad & ~cx == 0 for bad in unsolvable):
             return False
         masks = tuple(table[i] for i in bits(facets))
-        # The full table, not _initial_ranks: on the facet-heavy complexes of
+        # Every level, not _initial_ranks: on the facet-heavy complexes of
         # a search (measured at 5-8 features), exploring first was slower.
-        if _ranks(p, masks, until=p.initial)[p.initial] < 0:
+        if not _levels(p, masks, until=p.initial)[-1] >> p.initial & 1:
             unsolvable.append(cx)
             return False
         return True

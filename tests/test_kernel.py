@@ -16,9 +16,16 @@ from cover_lattice import (
     solvable,
 )
 from cover_lattice import planning
-from cover_lattice._kernel import predecessor_index, rank_table, reach_ranks, subset_bits
+from cover_lattice._kernel import rank_levels, reach_ranks, strong_preimages, subset_bits
 
-from util import corridor_problem, random_problem, sparse_problem, sweep_rank_table
+from util import (
+    corridor_problem,
+    funnel_problem,
+    random_problem,
+    rank_list,
+    sparse_problem,
+    sweep_rank_table,
+)
 
 
 def _random_masks(universe, rng, k_max=6):
@@ -83,8 +90,8 @@ def workload():
 
 
 def _ranks(p, masks, until=0):
-    post, index = p._tables
-    return rank_table(p.universe.n, p.goal, masks, len(p.actions), post, index, until)
+    n = p.universe.n
+    return rank_list(n, rank_levels(n, p.goal, masks, p._tables[1], until))
 
 
 def _assert_certified(p, masks, ranks):
@@ -145,6 +152,34 @@ def test_matches_sweep_oracle_on_deep_problems():
 
 def test_matches_sweep_oracle_on_every_antichain():
     _assert_matches_sweep(_antichain_workload())
+
+
+def test_matches_sweep_oracle_on_funnels():
+    # Under blind sensing every newly ranked belief holding the goal is
+    # maximal, so each level looks up the most strong preimages.
+    cases = []
+    for n in range(2, 11):
+        u = make_universe([str(i + 1) for i in range(n)])
+        pairs = [0b11 << i for i in range(n - 1)]
+        for masks in ([u.full_mask], [1 << i for i in range(n)], pairs):
+            cases.append((funnel_problem(u), masks))
+    _assert_matches_sweep(cases)
+
+
+def test_running_union_is_a_down_set(workload):
+    # The push marks only the strong preimages of each level's maximal
+    # beliefs; that reaches every safe belief only if the ranked beliefs
+    # are closed under taking sub-beliefs.
+    for p, masks in workload:
+        n = p.universe.n
+        union = 0
+        for level in rank_levels(n, p.goal, masks, p._tables[1]):
+            union |= level
+            for b in range(1, 1 << n):
+                if union >> b & 1:
+                    for i in range(n):
+                        sub = b & ~(1 << i)
+                        assert sub == b or sub == 0 or union >> sub & 1, (p, masks, b)
 
 
 def _policy_items(p, cover):
@@ -239,14 +274,14 @@ def test_reach_ranks_match_full_table():
     assert 0 < handed_over < len(cases) // 2
 
 
-def _counting_rank_table(monkeypatch):
+def _counting_rank_levels(monkeypatch):
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return rank_table(*args)
+        return rank_levels(*args)
 
-    monkeypatch.setattr(planning, "rank_table", counting)
+    monkeypatch.setattr(planning, "rank_levels", counting)
     return calls
 
 
@@ -256,7 +291,7 @@ def test_widest_corridor_ranks_no_table(goal_right, monkeypatch):
     # reachable beliefs: no full table under singletons or blind sensing.
     u = make_universe([str(i + 1) for i in range(planning.MAX_STATES)])
     p = corridor_problem(u, goal_right=goal_right)
-    calls = _counting_rank_table(monkeypatch)
+    calls = _counting_rank_levels(monkeypatch)
     singletons = make_cover(u, [[label] for label in u.labels])
     blind = make_cover(u, [u.labels])
     assert solvable(p, singletons) and solvable(p, blind)
@@ -267,10 +302,9 @@ def test_widest_corridor_ranks_no_table(goal_right, monkeypatch):
 
 def test_hand_over_gives_the_same_answers(monkeypatch):
     # The full complex at 6 features has 63 readings, so exploring costs more
-    # than the budget, half a full table's A * 2^6 predecessor pushes, and the
-    # call hands over to rank_table once.  So does the 1,023-reading complex
-    # on a 10-state corridor, where exploring alone measured 5 times slower
-    # than the table.
+    # than the budget, A * 2^5 exploring steps, and the call hands over to
+    # rank_levels once.  So does the 1,023-reading complex on a 10-state
+    # corridor, where exploring alone measured 5 times slower than the table.
     u = make_universe([str(i + 1) for i in range(6)])
     complex_ = Cover(u, u.canonical_masks)
     cases = [(sparse_problem(u, seed), complex_) for seed in range(20)]
@@ -283,7 +317,7 @@ def test_hand_over_gives_the_same_answers(monkeypatch):
         budget = planning._reach_budget(p)
         assert reach_ranks(p.goal, c.masks, acount, p._tables[0], p.initial, budget) is None
         want.append((_ranks(p, c.masks)[p.initial] >= 0, _policy_items(p, c)))
-    calls = _counting_rank_table(monkeypatch)
+    calls = _counting_rank_levels(monkeypatch)
     for (p, c), (wins, _) in zip(cases, want):
         calls.clear()
         assert solvable(p, c) == wins
@@ -296,13 +330,19 @@ def test_hand_over_gives_the_same_answers(monkeypatch):
     assert [_policy_items(p, c) for p, c in cases] == [items for _, items in want]
 
 
-def test_index_inverts_post(workload):
-    for p, _ in workload[:: 10]:
-        n, acount = p.universe.n, len(p.actions)
-        post, (start, preds) = p._tables
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 12])
+def test_strong_preimage_tables(n):
+    # pre_a(x), the AND of entry a over the bytes of x, is {s : T_a[s] ⊆ x}.
+    u = make_universe([str(i + 1) for i in range(n)])
+    for p in (random_problem(u, n, n_actions=3), corridor_problem(u)):
+        strong = strong_preimages(n, p.transitions)
+        assert len(strong) == (n + 7) // 8
         for x in range(1 << n):
-            want = [y for y in range(1, 1 << n) for a in range(acount) if post[y * acount + a] == x]
-            assert list(preds[start[x] : start[x + 1]]) == want
+            pres = [u.full_mask] * len(p.actions)
+            for j, table in enumerate(strong):
+                pres = [pre & t for pre, t in zip(pres, table[x >> 8 * j & 255])]
+            want = [sum(1 << s for s, succ in enumerate(row) if not succ & ~x) for row in p.transitions]
+            assert pres == want, (p, x)
 
 
 @pytest.mark.parametrize("goal_right", [True, False])
@@ -335,7 +375,7 @@ def test_subset_bits_brute_force(n):
 
 
 def test_no_action_world():
-    ranks = rank_table(3, 4, [7], 0, [], predecessor_index(3, 0, []))
+    ranks = rank_list(3, rank_levels(3, 4, [7], strong_preimages(3, ())))
     assert ranks == [-1, -1, -1, -1, 0, -1, -1, -1]
 
 

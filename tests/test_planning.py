@@ -25,7 +25,7 @@ from cover_lattice import (
 )
 
 from cover_lattice import planning
-from cover_lattice._kernel import rank_table
+from cover_lattice._kernel import rank_levels
 from cover_lattice.planning import MAX_STATES
 
 from util import (
@@ -35,6 +35,7 @@ from util import (
     corridor_problem,
     exhaustive_maximal_solvable_covers,
     random_problem,
+    rank_list,
     sparse_problem,
     sweep_rank_table,
 )
@@ -186,8 +187,7 @@ class TestWinningBeliefs:
         u = make_universe([str(i + 1) for i in range(n)])
         p = corridor_problem(u)
         masks = [1 << i for i in range(n)]
-        post, index = p._tables
-        ranks = rank_table(n, p.goal, masks, len(p.actions), post, index)
+        ranks = rank_list(n, rank_levels(n, p.goal, masks, p._tables[1]))
         want = {frozenset(u.labels_of(b)) for b in range(1, 1 << n) if ranks[b] >= 0}
         got = winning_beliefs(p, Cover(u, masks))
         assert len(got) == len(want) == (1 << n) - 1
@@ -411,9 +411,9 @@ class TestMaximalSolvableCovers:
 
         def counting(n, goal, masks, *rest):
             ranked.append(masks)
-            return rank_table(n, goal, masks, *rest)
+            return rank_levels(n, goal, masks, *rest)
 
-        monkeypatch.setattr(planning, "rank_table", counting)
+        monkeypatch.setattr(planning, "rank_levels", counting)
         u = make_universe([str(i + 1) for i in range(5)])
         for seed in range(6):
             ranked.clear()

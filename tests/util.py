@@ -7,7 +7,8 @@ sensor-search oracles, which use the package's enumeration and kernel but not
 its border search: ``exhaustive_maximal_solvable_covers`` ranks every cover,
 and ``class_walk_maximal_solvable_covers`` ranks one cover per star class.
 ``sweep_rank_table`` is the level-sweep fixpoint the package's worklist
-kernel replaced, kept as that kernel's full-table oracle.
+kernel replaced, kept as that kernel's full-table oracle; ``rank_list``
+expands the kernel's levels into the same table.
 """
 
 from __future__ import annotations
@@ -132,6 +133,20 @@ def corridor_problem(universe, goal_right: bool = True) -> PlanningProblem:
     return PlanningProblem(universe, ("left", "right"), (left, right), universe.full_mask, goal)
 
 
+def funnel_problem(universe) -> PlanningProblem:
+    """Action ``i`` moves state ``i`` into the goal, the last state; the rest stay.
+
+    A belief ranks by its states outside the goal, so under blind sensing
+    every newly ranked belief that holds the goal is a maximal ranked one.
+    Needs at least two states, so that there is an action.
+    """
+    n = universe.n
+    goal = 1 << (n - 1)
+    rows = tuple(tuple(goal if s == i else 1 << s for s in range(n)) for i in range(n - 1))
+    actions = tuple(f"to_goal_{i}" for i in range(n - 1))
+    return PlanningProblem(universe, actions, rows, universe.full_mask, goal)
+
+
 def sparse_problem(universe, seed: int) -> PlanningProblem:
     """One or two successors per state and action, a goal of one or two states."""
     rng = random.Random(seed)
@@ -191,6 +206,18 @@ def andor_solvable(problem: PlanningProblem, cover: Cover) -> bool:
         return result
 
     return win(problem.initial, frozenset())
+
+
+def rank_list(n, levels) -> list[int]:
+    """The kernel's levels as a rank table: entry ``b`` is the level holding bit ``b``, or -1."""
+    rank = [-1] * (1 << n)
+    for k, level in enumerate(levels):
+        assert 0 < level < 1 << (1 << n) and not level & 1
+        for b, bit in enumerate(reversed(bin(level)[2:])):
+            if bit == "1":
+                assert rank[b] == -1, f"belief {b} in levels {rank[b]} and {k}"
+                rank[b] = k
+    return rank
 
 
 def sweep_rank_table(n, goal_mask, preimage_masks, n_actions, post):
