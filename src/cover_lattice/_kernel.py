@@ -7,17 +7,17 @@ for ``solvable`` and ``extract_policy``.  Both are plain Python.  ``BACKEND``
 names the implementation and is re-exported as
 ``cover_lattice.KERNEL_BACKEND``.
 
-A problem is prepared once: ``post_table`` folds its transitions into the
-belief reached from every post-sensing belief under every action, for
-``reach_ranks`` and the policy code, and ``strong_preimages`` tabulates, per
-byte of a belief ``x`` and per action ``a``, the states whose successors
-lie inside ``x``.  Each cover is then ranked by a level-synchronous
-attractor, the AND-OR game construction (Zielonka, TCS 1998) computed a set
-at a time, as in symbolic model checking (Burch, Clarke, McMillan, Dill &
-Hwang, LICS 1990).  A set of beliefs is one Python int, bit ``b`` for
-belief ``b``, and the result is one such int per rank.  Rank 0 is the
-beliefs inside the goal, and level ``k`` turns the beliefs of rank ``k``
-into those of rank ``k + 1``:
+A problem is prepared once: ``byte_tables`` tabulates, per byte of a belief
+``x`` and per action, the successors of ``x``'s states in that byte, ORed
+over the bytes by ``post_of`` for ``reach_ranks`` and the policy code, and
+the states whose successors lie inside ``x`` on that byte, ANDed by
+``rank_levels``: 2^8 entries per byte and action, however many states.
+Each cover is then ranked by a level-synchronous attractor, the AND-OR game
+construction (Zielonka, TCS 1998) computed a set at a time, as in symbolic
+model checking (Burch, Clarke, McMillan, Dill & Hwang, LICS 1990).  A set
+of beliefs is one Python int, bit ``b`` for belief ``b``, and the result is
+one such int per rank.  Rank 0 is the beliefs inside the goal, and level
+``k`` turns the beliefs of rank ``k`` into those of rank ``k + 1``:
 
 1. A sub-belief is never harder to win from, so the beliefs ranked so far
    form a down-set (Bertoli, Cimatti, Roveri & Traverso, AIJ 2006).  Its
@@ -62,49 +62,30 @@ one belief at a time, and stops once the initial belief is ranked: a local
 fixpoint (Liu & Smolka, ICALP 1998), as in AND-OR heuristic search (Hansen
 & Zilberstein, AIJ 2001).  A belief's rank depends only on the beliefs it
 reaches, so every belief it ranks gets its ``rank_levels`` rank.  Exploring
-costs one unit per reading intersected and one per post lookup.  Past the
-caller's budget it returns ``None``, and the caller ranks the full levels.
-``solvable`` and ``extract_policy`` pass ``A * 2^(n-1)`` exploring steps:
-on covers of hundreds of readings over a wide reachable part, exploring
-alone measured up to 28 times slower than the full table, and the
-hand-over keeps such calls near the table's time.
+costs one unit per reading intersected and ``A`` per post-sensing belief
+looked up.  Past the caller's budget it returns ``None``, and the caller
+ranks the full levels.  ``solvable`` and ``extract_policy`` pass
+``A * 2^(n-1)`` exploring steps: on covers of hundreds of readings over a
+wide reachable part, exploring alone measured up to 28 times slower than
+the full table, and the hand-over keeps such calls near the table's time.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
-from operator import and_
+from operator import and_, or_
 
 __all__ = [
     "BACKEND",
     "Ranks",
-    "post_table",
+    "byte_tables",
+    "post_of",
     "rank_levels",
     "reach_ranks",
-    "strong_preimages",
     "subset_bits",
 ]
 
 BACKEND: str = "pure"
-
-
-def post_table(n, transitions):
-    """``post[b * A + a]``: the belief reached from belief ``b`` under action ``a``.
-
-    ``transitions[a][s]`` is the successor-set bitmask of state ``s`` under
-    action ``a``; nondeterminism folds into the union over the belief.
-    """
-    acount = len(transitions)
-    post = [0] * ((1 << n) * acount)
-    for b in range(1, 1 << n):
-        low = b & -b
-        s = low.bit_length() - 1
-        rest_base = (b ^ low) * acount
-        base = b * acount
-        for a in range(acount):
-            post[base + a] = post[rest_base + a] | transitions[a][s]
-    return array("l", post)
 
 
 def subset_bits(mask):
@@ -134,34 +115,55 @@ def _mask_sets(mask, full):
     return subset_bits(mask), subset_bits(comp), lows
 
 
-def strong_preimages(n, transitions):
-    """Byte tables of the strong preimages ``pre_a(x) = {s : T_a[s] ⊆ x}``.
+def byte_tables(n, transitions):
+    """Byte tables of every action's images and strong preimages: ``(images, strong)``.
 
     ``transitions[a][s]`` is the successor-set bitmask of state ``s`` under
-    action ``a``.  Table ``j`` maps byte ``j`` of a belief ``x`` to one
-    entry per action: the states whose successors, on byte ``j``'s
-    features, lie inside ``x``.  ``pre_a(x)`` is the AND of entry ``a``
-    over the bytes of ``x``, the idiom of ``FeatureUniverse.belief_of``.
+    action ``a``.  Table ``j`` of each maps byte ``j`` of a belief ``x`` to
+    one entry per action: in ``images`` the union of ``T_a[s]`` over ``x``'s
+    states in that byte, in ``strong`` the states whose successors lie inside
+    ``x`` on that byte, which ANDed over the bytes give the strong preimage
+    ``pre_a(x) = {s : T_a[s] ⊆ x}`` (the idiom of ``FeatureUniverse.belief_of``).
     """
-    tables = []
+    images, strong = [], []
     for lo in range(0, n, 8):
         width = min(8, n - lo)
-        byte = (1 << width) - 1
+        size = 1 << width
         per_action = []
         for row in transitions:
-            # Mark each state at its successors' byte, then close upwards:
-            # entry v holds the states whose byte is a subset of v.
-            table = [0] * (1 << width)
+            # Mark the byte's states at their bits and every state at its
+            # successors' byte, then close upwards: v ORs its subsets' entries.
+            image, pre = [0] * size, [0] * size
+            for i in range(width):
+                image[1 << i] = row[lo + i]
             for s, succ in enumerate(row):
-                table[succ >> lo & byte] |= 1 << s
+                pre[succ >> lo & size - 1] |= 1 << s
             for i in range(width):
                 bit = 1 << i
-                for v in range(bit, 1 << width):
+                for v in range(bit, size):
                     if v & bit:
-                        table[v] |= table[v ^ bit]
-            per_action.append(table)
-        tables.append(tuple(tuple(t[v] for t in per_action) for v in range(1 << width)))
-    return tuple(tables)
+                        image[v] |= image[v ^ bit]
+                        pre[v] |= pre[v ^ bit]
+            per_action.append((image, pre))
+        images.append(tuple(tuple(t[v] for t, _ in per_action) for v in range(size)))
+        strong.append(tuple(tuple(t[v] for _, t in per_action) for v in range(size)))
+    return tuple(images), tuple(strong)
+
+
+def post_of(images, y):
+    """The beliefs reached from post-sensing belief ``y``, one per action.
+
+    ``images`` is the first table of ``byte_tables``, ORed over the bytes of
+    ``y`` up to its highest non-zero one: nondeterminism folds into the union.
+    """
+    posts = images[0][y & 255]
+    y >>= 8
+    j = 1
+    while y:
+        posts = tuple(map(or_, posts, images[j][y & 255]))
+        y >>= 8
+        j += 1
+    return posts
 
 
 @lru_cache(maxsize=64)
@@ -177,10 +179,10 @@ def rank_levels(n, goal_mask, preimage_masks, strong, until=0):
 
     Bit ``b`` of ``levels[k]`` is set iff belief ``b`` has rank ``k``: the
     readings' pre-images ``preimage_masks`` cover the ``n`` states, ``strong``
-    is ``strong_preimages(n, transitions)``, and rank 0 holds the non-empty
-    beliefs inside the goal.  A belief of rank ``k > 0`` has, for every
-    intersecting reading, an action into a belief ranked strictly below
-    ``k``, so ranks strictly decrease along every adversarial execution
+    is the second table of ``byte_tables(n, transitions)``, and rank 0 holds
+    the non-empty beliefs inside the goal.  A belief of rank ``k > 0`` has,
+    for every intersecting reading, an action into a belief ranked strictly
+    below ``k``, so ranks strictly decrease along every adversarial execution
     branch.  A belief in no level cannot guarantee the goal.
 
     When ``until`` names a belief, the call returns with the first level that
@@ -260,23 +262,24 @@ class Ranks(dict):
         return -1
 
 
-def reach_ranks(goal_mask, preimage_masks, n_actions, post, initial, budget):
+def reach_ranks(goal_mask, preimage_masks, images, initial, budget):
     """``rank_levels``' ranks on the beliefs ``initial`` reaches, up to its own.
 
     ``goal_mask`` and ``preimage_masks`` mean what they mean for
-    ``rank_levels``; ``post[y * n_actions + a]`` is the belief reached from
-    post-sensing belief ``y`` under action ``a``.  Each pre-sensing
-    belief ``b`` outside the goal leads to its post-sensing beliefs
-    ``b & r``, and each of those to ``post[y * n_actions + a]``.  The result
-    maps each belief ranked below ``initial``, and ``initial`` if it is
-    winning, to its ``rank_levels`` rank; every other belief reads -1, and
-    ranks at least as high as ``initial`` or not at all.
+    ``rank_levels``, and ``images`` is the first table of ``byte_tables``.
+    Each pre-sensing belief ``b`` outside the goal leads to its post-sensing
+    beliefs ``b & r``, and each of those to its ``post_of(images, y)``, the
+    belief reached under each action.  The result maps each belief ranked
+    below ``initial``, and ``initial`` if it is winning, to its
+    ``rank_levels`` rank; every other belief reads -1, and ranks at least as
+    high as ``initial`` or not at all.
 
-    Exploring costs one unit per reading intersected and one per post
-    lookup.  Past ``budget`` units the call returns ``None`` at once.
+    Exploring costs one unit per reading intersected and ``A`` per
+    post-sensing belief looked up.  Past ``budget`` units it returns ``None``.
     """
     not_goal = ~goal_mask
     readings = len(preimage_masks)
+    n_actions = len(images[0][0])
     parents = {}  # post-sensing y -> the pre-sensing beliefs that sense into it
     preds = {}  # pre-sensing x -> the post-sensing beliefs with an action into it
     need = {}  # pre-sensing b outside the goal -> its post-sensing beliefs not yet safe
@@ -300,8 +303,8 @@ def reach_ranks(goal_mask, preimage_masks, n_actions, post, initial, budget):
                 continue
             parents[y] = [b]
             units += n_actions
-            base = y * n_actions
-            for x in set(post[base : base + n_actions]):
+            # Two actions into one x list y twice under it; the backward pass skips the second.
+            for x in post_of(images, y):
                 below = preds.get(x)
                 if below is None:
                     preds[x] = [y]

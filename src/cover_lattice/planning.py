@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
-from ._kernel import Ranks, post_table, rank_levels, reach_ranks, strong_preimages
+from ._kernel import Ranks, byte_tables, post_of, rank_levels, reach_ranks
 from .core import Cover, FeatureUniverse, bits
 from .errors import (
     SizeGuardError,
@@ -98,9 +98,9 @@ class PlanningProblem:
 
     @cached_property
     def _tables(self):
-        """The kernel's per-problem tables: ``post`` and the strong-preimage tables."""
-        n = self.universe.n
-        return post_table(n, self.transitions), strong_preimages(n, self.transitions)
+        """The kernel's ``byte_tables``, ``(images, strong)``: 2^8 entries per
+        byte of a belief and per action, for ``post_of`` and ``rank_levels``."""
+        return byte_tables(self.universe.n, self.transitions)
 
     @property
     def initial_states(self) -> Belief:
@@ -210,9 +210,7 @@ def _initial_ranks(p: PlanningProblem, masks: tuple[int, ...]) -> Ranks:
     exploring them takes at most ``_reach_budget`` steps; past that every
     belief is ranked, level by level, up to the initial belief's level.
     """
-    ranks = reach_ranks(
-        p.goal, masks, len(p.actions), p._tables[0], p.initial, _reach_budget(p)
-    )
+    ranks = reach_ranks(p.goal, masks, p._tables[0], p.initial, _reach_budget(p))
     if ranks is None:
         ranks = Ranks()
         for k, level in enumerate(_levels(p, masks, until=p.initial)):
@@ -316,11 +314,10 @@ def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
     ranks = _initial_ranks(p, c.masks)
     if ranks[p.initial] < 0:
         raise UnsolvableError("no guaranteed plan under this cover")
-    acount = len(p.actions)
-    post = p._tables[0]
+    images = p._tables[0]
     goal = p.goal
     belief = p.universe.belief_of
-    chosen: dict[int, int] = {}
+    chosen: dict[int, int] = {}  # post-sensing belief -> the belief its action leads to
     action_of: dict[Belief, str] = {}
     rank_of: dict[Belief, int] = {belief(p.initial): ranks[p.initial]}
     seen = {p.initial}
@@ -333,19 +330,17 @@ def extract_policy(p: PlanningProblem, c: Cover) -> Policy:
             br = b & r
             if not br:
                 continue
-            a_idx = chosen.get(br)
-            if a_idx is None:
-                base = br * acount
-                best_rank = None
-                for a in range(acount):
-                    ra = ranks[post[base + a]]
+            nb = chosen.get(br)
+            if nb is None:
+                posts = post_of(images, br)
+                a_idx = best_rank = None
+                for a, x in enumerate(posts):
+                    ra = ranks[x]
                     if ra >= 0 and (best_rank is None or ra < best_rank):
-                        best_rank = ra
-                        a_idx = a
+                        best_rank, a_idx = ra, a
                 assert a_idx is not None, "reachable post-sensing belief has no safe action"
-                chosen[br] = a_idx
+                chosen[br] = nb = posts[a_idx]
                 action_of[belief(br)] = p.actions[a_idx]
-            nb = post[br * acount + a_idx]
             if nb not in seen:
                 seen.add(nb)
                 rank_of[belief(nb)] = ranks[nb]
@@ -359,8 +354,8 @@ def find_policy_counterexample(
     """Adversarial branch on which ``pol`` fails, or ``None`` if it always wins.
 
     Exhaustive traversal over readings with on-path cycle detection; a
-    repeated belief means that branch never reaches the goal.  Independent
-    of the ranking kernel, so it doubles as that kernel's oracle.
+    repeated belief means that branch never reaches the goal.  It shares only
+    the image tables with ``reach_ranks``, so it doubles as the kernel's oracle.
     """
     _check_pair(p, c)
     mask_of = p.universe.mask_of
@@ -372,8 +367,8 @@ def find_policy_counterexample(
         except ValueError:
             raise ValidationError(f"policy uses unknown action {a!r}") from None
         amap[mask_of(b)] = a_idx
-    acount = len(p.actions)
-    post = p._tables[0]
+    images = p._tables[0]
+    succ: dict[int, int] = {}  # post-sensing belief -> the belief its action leads to
     goal = p.goal
 
     def make_frame(b: int) -> list:
@@ -405,10 +400,12 @@ def find_policy_counterexample(
                 frames[-1][2] += 1
             continue
         br = branches[i][1]
-        a_idx = amap.get(br)
-        if a_idx is None:
-            return PolicyFailure("missing-action", trace(frames), belief(br))
-        nb = post[br * acount + a_idx]
+        nb = succ.get(br)
+        if nb is None:
+            a_idx = amap.get(br)
+            if a_idx is None:
+                return PolicyFailure("missing-action", trace(frames), belief(br))
+            nb = succ[br] = post_of(images, br)[a_idx]
         if not nb & ~goal or nb in good:
             frame[2] += 1
             continue

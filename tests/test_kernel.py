@@ -16,7 +16,7 @@ from cover_lattice import (
     solvable,
 )
 from cover_lattice import planning
-from cover_lattice._kernel import rank_levels, reach_ranks, strong_preimages, subset_bits
+from cover_lattice._kernel import byte_tables, post_of, rank_levels, reach_ranks, subset_bits
 
 from util import (
     corridor_problem,
@@ -25,6 +25,7 @@ from util import (
     rank_list,
     sparse_problem,
     sweep_rank_table,
+    walk_post,
 )
 
 
@@ -96,8 +97,7 @@ def _ranks(p, masks, until=0):
 
 def _assert_certified(p, masks, ranks):
     # The table is a self-certifying fixpoint.
-    acount = len(p.actions)
-    post = p._tables[0]
+    rows = p.transitions
     assert len(ranks) == 1 << p.universe.n and ranks[0] == -1
     for b in range(1, 1 << p.universe.n):
         k = ranks[b]
@@ -108,14 +108,10 @@ def _assert_certified(p, masks, ranks):
             for r in masks:
                 br = b & r
                 if br:
-                    assert any(
-                        0 <= ranks[post[br * acount + a]] < k for a in range(acount)
-                    )
+                    assert any(0 <= ranks[walk_post(row, br)] < k for row in rows)
         else:
             assert any(
-                all(ranks[post[(b & r) * acount + a]] < 0 for a in range(acount))
-                for r in masks
-                if b & r
+                all(ranks[walk_post(row, b & r)] < 0 for row in rows) for r in masks if b & r
             )
 
 
@@ -133,10 +129,8 @@ def test_rank_certificates(workload):
 
 def _assert_matches_sweep(cases):
     for p, masks in cases:
-        n, acount = p.universe.n, len(p.actions)
-        post = p._tables[0]
         full = _ranks(p, masks)
-        assert full == sweep_rank_table(n, p.goal, masks, acount, list(post)), (p, masks)
+        assert full == sweep_rank_table(p.universe.n, p.goal, masks, p.transitions), (p, masks)
         _assert_early_return_exact(p, masks, full)
         cover = make_cover(p.universe, [p.universe.labels_of(m) for m in masks])
         assert solvable(p, cover) == (full[p.initial] >= 0)
@@ -232,8 +226,6 @@ def _reach_cases():
 
 def _reachable(p, masks):
     # Every pre-sensing belief some execution from the initial belief meets.
-    acount = len(p.actions)
-    post = p._tables[0]
     seen = {p.initial}
     stack = [p.initial]
     while stack:
@@ -242,8 +234,8 @@ def _reachable(p, masks):
             continue
         for r in masks:
             if b & r:
-                for a in range(acount):
-                    x = post[(b & r) * acount + a]
+                for row in p.transitions:
+                    x = walk_post(row, b & r)
                     if x not in seen:
                         seen.add(x)
                         stack.append(x)
@@ -254,10 +246,9 @@ def test_reach_ranks_match_full_table():
     cases = _reach_cases()
     handed_over = 0
     for p, masks in cases:
-        acount = len(p.actions)
-        post = p._tables[0]
+        images = p._tables[0]
         full = _ranks(p, masks)
-        ranks = reach_ranks(p.goal, masks, acount, post, p.initial, math.inf)
+        ranks = reach_ranks(p.goal, masks, images, p.initial, math.inf)
         assert ranks[p.initial] == full[p.initial], (p, masks)
         assert all(full[b] == k for b, k in ranks.items()), (p, masks)
         top = full[p.initial]
@@ -266,7 +257,7 @@ def test_reach_ranks_match_full_table():
         for b in reached - set(ranks):
             assert full[b] == -1 or 0 <= top <= full[b], (p, masks, b)
         # The real budget either hands over or gives the same ranks.
-        budgeted = reach_ranks(p.goal, masks, acount, post, p.initial, planning._reach_budget(p))
+        budgeted = reach_ranks(p.goal, masks, images, p.initial, planning._reach_budget(p))
         if budgeted is None:
             handed_over += 1
         else:
@@ -313,9 +304,8 @@ def test_hand_over_gives_the_same_answers(monkeypatch):
               for right in (True, False)]
     want = []
     for p, c in cases:
-        acount = len(p.actions)
         budget = planning._reach_budget(p)
-        assert reach_ranks(p.goal, c.masks, acount, p._tables[0], p.initial, budget) is None
+        assert reach_ranks(p.goal, c.masks, p._tables[0], p.initial, budget) is None
         want.append((_ranks(p, c.masks)[p.initial] >= 0, _policy_items(p, c)))
     calls = _counting_rank_levels(monkeypatch)
     for (p, c), (wins, _) in zip(cases, want):
@@ -330,19 +320,22 @@ def test_hand_over_gives_the_same_answers(monkeypatch):
     assert [_policy_items(p, c) for p, c in cases] == [items for _, items in want]
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 12])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 12, planning.MAX_STATES])
 def test_strong_preimage_tables(n):
-    # pre_a(x), the AND of entry a over the bytes of x, is {s : T_a[s] ⊆ x}.
+    # pre_a(x), the AND of entry a over the bytes of x, is {s : T_a[s] ⊆ x},
+    # and post_of(images, x), the OR over the bytes of x, is the union of
+    # T_a[s] over the states s of x.
     u = make_universe([str(i + 1) for i in range(n)])
     for p in (random_problem(u, n, n_actions=3), corridor_problem(u)):
-        strong = strong_preimages(n, p.transitions)
-        assert len(strong) == (n + 7) // 8
+        images, strong = byte_tables(n, p.transitions)
+        assert len(images) == len(strong) == (n + 7) // 8
         for x in range(1 << n):
             pres = [u.full_mask] * len(p.actions)
             for j, table in enumerate(strong):
                 pres = [pre & t for pre, t in zip(pres, table[x >> 8 * j & 255])]
             want = [sum(1 << s for s, succ in enumerate(row) if not succ & ~x) for row in p.transitions]
             assert pres == want, (p, x)
+            assert post_of(images, x) == tuple(walk_post(row, x) for row in p.transitions), (p, x)
 
 
 @pytest.mark.parametrize("goal_right", [True, False])
@@ -375,7 +368,7 @@ def test_subset_bits_brute_force(n):
 
 
 def test_no_action_world():
-    ranks = rank_list(3, rank_levels(3, 4, [7], strong_preimages(3, ())))
+    ranks = rank_list(3, rank_levels(3, 4, [7], byte_tables(3, ())[1]))
     assert ranks == [-1, -1, -1, -1, 0, -1, -1, -1]
 
 

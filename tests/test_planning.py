@@ -171,9 +171,8 @@ class TestWinningBeliefs:
         covers = ([1 << i for i in range(n)], [u.full_mask], sorted(readings | {rest} - {0}))
         corridor = corridor_problem(u, goal_right=n % 2 == 0)
         for p in (corridor, sparse_problem(u, n), sparse_problem(u, n + 1)):
-            post = list(p._tables[0])
             for masks in covers:
-                ranks = sweep_rank_table(n, p.goal, masks, len(p.actions), post)
+                ranks = sweep_rank_table(n, p.goal, masks, p.transitions)
                 want = {frozenset(u.labels_of(b)) for b in range(1, 1 << n) if ranks[b] >= 0}
                 got = winning_beliefs(p, Cover(u, masks))
                 assert got == want and len(got) == len(want)

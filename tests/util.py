@@ -8,7 +8,9 @@ its border search: ``exhaustive_maximal_solvable_covers`` ranks every cover,
 and ``class_walk_maximal_solvable_covers`` ranks one cover per star class.
 ``sweep_rank_table`` is the level-sweep fixpoint the package's worklist
 kernel replaced, kept as that kernel's full-table oracle; ``rank_list``
-expands the kernel's levels into the same table.
+expands the kernel's levels into the same table.  The oracles that follow a
+transition compute its post with ``walk_post``, one state at a time, never
+with the package's tables.
 """
 
 from __future__ import annotations
@@ -163,6 +165,16 @@ def sparse_problem(universe, seed: int) -> PlanningProblem:
     return PlanningProblem(universe, actions, transitions, initial, goal)
 
 
+def walk_post(row, b: int) -> int:
+    """The union of ``row[s]`` over the states ``s`` of belief ``b``, one bit at a time."""
+    out = 0
+    while b:
+        low = b & -b
+        out |= row[low.bit_length() - 1]
+        b ^= low
+    return out
+
+
 def andor_solvable(problem: PlanningProblem, cover: Cover) -> bool:
     """Top-down AND-OR search over execution paths with visited-set pruning.
 
@@ -172,18 +184,8 @@ def andor_solvable(problem: PlanningProblem, cover: Cover) -> bool:
     the subtree.
     """
     goal = problem.goal
-    acount = len(problem.actions)
     trans = problem.transitions
     readings = cover.masks
-
-    def post(b: int, a: int) -> int:
-        out = 0
-        row = trans[a]
-        while b:
-            low = b & -b
-            out |= row[low.bit_length() - 1]
-            b ^= low
-        return out
 
     memo: dict[tuple[int, frozenset], bool] = {}
 
@@ -198,7 +200,7 @@ def andor_solvable(problem: PlanningProblem, cover: Cover) -> bool:
             return cached
         deeper = path | {b}
         result = all(
-            any(win(post(b & r, a), deeper) for a in range(acount))
+            any(win(walk_post(row, b & r), deeper) for row in trans)
             for r in readings
             if b & r
         )
@@ -220,15 +222,16 @@ def rank_list(n, levels) -> list[int]:
     return rank
 
 
-def sweep_rank_table(n, goal_mask, preimage_masks, n_actions, post):
+def sweep_rank_table(n, goal_mask, preimage_masks, transitions):
     """Steps-to-goal rank for every belief bitmask in ``range(1 << n)``.
 
-    ``post[b * n_actions + a]`` is the belief reached from post-sensing
-    belief ``b`` under action ``a``, with nondeterminism folded into the
-    union.  Rank 0 marks beliefs inside the goal and -1 marks beliefs from
-    which the goal cannot be guaranteed.  Sweep ``k`` admits a belief when
-    every intersecting reading leaves some action into a belief ranked
-    strictly below ``k``, so ranks equal the fixpoint level and strictly
+    ``transitions[a][s]`` is the successor-set bitmask of state ``s`` under
+    action ``a``; the belief reached from post-sensing belief ``b`` is their
+    union over ``b``'s states, walked once per belief and action.  Rank 0
+    marks beliefs inside the goal and -1 marks beliefs from which the goal
+    cannot be guaranteed.  Sweep ``k`` admits a belief when every
+    intersecting reading leaves some action into a belief ranked strictly
+    below ``k``, so ranks equal the fixpoint level and strictly
     decrease along every adversarial execution branch.
     """
     size = 1 << n
@@ -238,7 +241,7 @@ def sweep_rank_table(n, goal_mask, preimage_masks, n_actions, post):
         if not b & not_goal:
             rank[b] = 0
     pres = list(preimage_masks)
-    actions = range(n_actions)
+    posts = [[walk_post(row, b) for row in transitions] for b in range(size)]
     k = 0
     changed = True
     while changed:
@@ -251,9 +254,8 @@ def sweep_rank_table(n, goal_mask, preimage_masks, n_actions, post):
                 br = b & r
                 if not br:
                     continue
-                base = br * n_actions
-                for a in actions:
-                    rs = rank[post[base + a]]
+                for x in posts[br]:
+                    rs = rank[x]
                     if 0 <= rs < k:
                         break
                 else:
