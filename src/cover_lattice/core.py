@@ -15,6 +15,7 @@ order, once per universe.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -43,8 +44,14 @@ def bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1 << 12)
 def preimage_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical pre-image sort key: cardinality, then feature indices."""
+    """Canonical pre-image sort key: cardinality, then feature indices.
+
+    Computed once per mask: every ``Cover`` sorts its pre-images by it, so a
+    listing asks for the same few keys many times.  The cache holds the keys
+    of the 2**12 masks used last, every subset of a 12-feature universe.
+    """
     return (mask.bit_count(), bits(mask))
 
 

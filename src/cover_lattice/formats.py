@@ -45,7 +45,70 @@ def belief_text(universe: FeatureUniverse, belief) -> str:
 
 
 def json_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical JSON text: byte for byte ``json.dumps(doc, indent=2) + "\\n"``.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder, which yields
+    one chunk per token.  This renderer joins whole arrays and objects instead,
+    encodes strings with the C string encoder, and renders each tuple of
+    strings once per indentation depth: the label tuples of a cover listing
+    repeat a few distinct pre-images thousands of times.  A value it does not
+    special-case (a float, an object with a non-``str`` key, a subclass of
+    ``str``, ``int``, ``list``, ``tuple`` or ``dict``, or a value ``json``
+    cannot encode) goes to ``json.dumps`` itself, re-indented to its depth.
+    """
+    return _render(doc, 0, {}) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(o: Any, depth: int, seen: dict) -> str:
+    # ``seen`` maps (tuple of exact strs, depth) to its text.  Only such tuples
+    # are stored, and a tuple equal to one of them renders the same.
+    cls = type(o)
+    if cls is str:
+        return _encode_str(o)
+    if cls is tuple:
+        try:
+            return seen[o, depth]
+        except (KeyError, TypeError):  # new, or holds an unhashable value
+            pass
+        text = _render_array(o, depth, seen)
+        if all(type(v) is str for v in o):
+            seen[o, depth] = text
+        return text
+    if cls is list:
+        return _render_array(o, depth, seen)
+    if cls is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if cls is dict and all(type(k) is str for k in o):
+        if not o:
+            return "{}"
+        inner = ",\n" + "  " * (depth + 1)
+        parts = []
+        for k, v in o.items():
+            parts += (inner, _encode_str(k), ": ", _render(v, depth + 1, seen))
+        parts[0] = "{\n" + "  " * (depth + 1)
+        parts.append("\n" + "  " * depth + "}")
+        return "".join(parts)
+    return json.dumps(o, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _render_array(o: list | tuple, depth: int, seen: dict) -> str:
+    if not o:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    items = [_render(v, depth + 1, seen) for v in o]
+    # The brackets go on the end items, so a long array is copied only once.
+    items[0] = "[" + inner + items[0]
+    items[-1] += "\n" + "  " * depth + "]"
+    return ("," + inner).join(items)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +131,13 @@ def _universe_of(doc: dict, path: str = "$") -> FeatureUniverse:
     return FeatureUniverse(_string_array(doc["universe"], f"{path}.universe"))
 
 
-def _cover_body(universe: FeatureUniverse, arr, labels, path: str) -> Cover:
+def _cover_body(universe: FeatureUniverse, arr, labels, path: str, known: dict) -> Cover:
+    """The cover an array of label arrays names.
+
+    ``known`` maps each subset already read, as a tuple of its labels, to its
+    mask, so each distinct subset is checked and mapped once per document.  A
+    subset's path is formatted only to report an error in it.
+    """
     _expect(isinstance(arr, list), path, "expected an array")
     if labels is not None:
         _expect(isinstance(labels, list), "$.labels", "expected an array")
@@ -80,7 +149,12 @@ def _cover_body(universe: FeatureUniverse, arr, labels, path: str) -> Cover:
     masks: set[int] = set()
     named: dict[int, str] = {}
     for i, subset in enumerate(arr):
-        mask = universe.mask_of(_string_array(subset, f"{path}[{i}]"))
+        # Only a list may match: tuple("12") would equal the key of ["1", "2"].
+        key = tuple(subset) if isinstance(subset, list) else None
+        try:
+            mask = known[key]
+        except (KeyError, TypeError):  # new, not a list, or holds an unhashable value
+            mask = known[key] = universe.mask_of(_string_array(subset, f"{path}[{i}]"))
         masks.add(mask)
         if labels is not None and labels[i] is not None:
             named.setdefault(mask, labels[i])
@@ -89,7 +163,7 @@ def _cover_body(universe: FeatureUniverse, arr, labels, path: str) -> Cover:
 
 def _parse_cover(doc: dict) -> Cover:
     universe = _universe_of(doc)
-    return _cover_body(universe, doc["cover"], doc.get("labels"), "$.cover")
+    return _cover_body(universe, doc["cover"], doc.get("labels"), "$.cover", {})
 
 
 def _parse_cover_list(doc: dict) -> tuple[Cover, ...]:
@@ -102,8 +176,9 @@ def _parse_cover_list(doc: dict) -> tuple[Cover, ...]:
             "$.count",
             "expected an integer",
         )
+    known: dict[tuple[str, ...], int] = {}
     return tuple(
-        _cover_body(universe, body, None, f"$.covers[{i}]") for i, body in enumerate(arr)
+        _cover_body(universe, body, None, f"$.covers[{i}]", known) for i, body in enumerate(arr)
     )
 
 
@@ -215,8 +290,11 @@ def parse_document(text: str):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _cover_arrays(c: Cover) -> list[list[str]]:
-    return [list(c.universe.labels_of(m)) for m in c.masks]
+def _cover_arrays(c: Cover) -> list[tuple[str, ...]]:
+    # Label tuples, not fresh lists: shared by every cover of a universe of up
+    # to 8 features, and rendered once per depth by ``json_text``.
+    labels_of = c.universe.labels_of
+    return [labels_of(m) for m in c.masks]
 
 
 def _cover_doc(c: Cover) -> dict:

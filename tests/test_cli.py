@@ -716,6 +716,52 @@ class TestDeterminism:
         assert status1 == status2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[("enumerate", "--max-n", str(n)) for n in range(1, 5)],
+            *[("classes", "--max-n", str(n)) for n in range(1, 5)],
+            *[("partitions", "--max-n", str(n)) for n in range(1, 6)],
+            ("members", "@big"),
+            ("class-report", "@big", "@stipulation"),
+            ("class", "@big"),
+            ("star", "@cover"),
+            ("meet", "@labelled", "@cover"),
+            ("join", "@labelled", "@singletons"),
+            ("compare", "@cover", "@singletons"),
+            ("proceeds", "@cover", "@singletons"),
+            ("invert", "@gps"),
+            ("solve", "@junction", "@pairs"),
+            ("policy", "@junction", "@pairs"),
+            ("stipulation", "@cover", "@stipulation"),
+            ("search-sensors", "@junction"),
+            ("hasse", "@covers"),
+            ("validate", "@cover", "@junction", "@stipulation", "@gps", "@covers"),
+        ],
+        ids=lambda argv: "-".join(a.lstrip("@-") for a in argv),
+    )
+    def test_json_layout_is_json_dumps(self, capsys, files, gps_map, junction_doc, argv):
+        # Repeated runs can agree on a drifted layout; json.dumps is the reference.
+        inputs = {
+            "big": files("big.json", cover_doc("1234", "12", "34", "13", "24")),
+            "cover": files("c.json", cover_doc("123", "12", "23")),
+            "labelled": files("l.json", labelled_doc("123", ["12", "3"], ["xé", None])),
+            "singletons": files("s.json", cover_doc("123", "1", "2", "3")),
+            "stipulation": files("st.json", {"sensitive": ["1"], "max_resolution": 1}),
+            "pairs": files("p.json", cover_doc("1234", "14", "23")),
+            "covers": files(
+                "cs.json", {"universe": ["1", "2"], "covers": [[["1", "2"]], [["1"], ["2"]]]}
+            ),
+            "gps": gps_map,
+            "junction": junction_doc,
+        }
+        full = []
+        for arg in argv:
+            full += ["--input", inputs[arg[1:]]] if arg.startswith("@") else [arg]
+        status, out, err = invoke(capsys, *full, "--format", "json")
+        assert status in (0, 1) and err == "", err
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_solve_repeated(self, capsys, files, junction_doc):
         cov = files("pairs.json", cover_doc("1234", "14", "23"))
         runs = {invoke(capsys, "solve", "--input", junction_doc, "--input", cov) for _ in range(3)}

@@ -1,6 +1,10 @@
 import json
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cover_lattice import (
     Cover,
@@ -19,6 +23,7 @@ from cover_lattice import (
     refines,
     serialize_document,
 )
+from cover_lattice.formats import json_text
 
 from util import C
 
@@ -51,6 +56,26 @@ class TestParse:
     def test_schema_violation_carries_path(self):
         with pytest.raises(SchemaError, match=r"\$\.cover\[0\]\[1\]"):
             parse_document('{"universe":["1"],"cover":[["1",2]]}')
+
+    @pytest.mark.parametrize(
+        "covers,error,message",
+        [
+            (
+                '[[["1"],["2"]],[["1"],["2",3]]]',
+                SchemaError,
+                "$.covers[1][1][1]: expected a string",
+            ),
+            # A string must not match the subset ["1","2"], though tuple("12") would.
+            ('[[["1","2"]],["12"]]', SchemaError, "$.covers[1][0]: expected an array"),
+            ('[[["1","2"]],[["1",["2"]]]]', SchemaError, "$.covers[1][0][1]: expected a string"),
+            ('[[["1","2"]],[["1","9"]]]', ValidationError, "unknown feature label: '9'"),
+        ],
+    )
+    def test_cover_list_diagnostics_after_a_known_subset(self, covers, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_document('{"universe":["1","2"],"covers":%s}' % covers)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
     def test_non_object_document(self):
         with pytest.raises(SchemaError):
@@ -189,7 +214,7 @@ class TestRoundTrip:
 
     def test_class_documents_read_back_as_universe(self, u3):
         from cover_lattice import all_classes, class_compliance_report, star_class
-        from cover_lattice.formats import class_doc, class_report_doc, classes_doc, json_text
+        from cover_lattice.formats import class_doc, class_report_doc, classes_doc
 
         cover = C(u3, "12", "123")
         report = class_compliance_report(cover, Stipulation(frozenset({"1", "2"}), 2))
@@ -200,6 +225,54 @@ class TestRoundTrip:
         ]
         for doc in docs:
             assert parse_document(json_text(doc)) == u3
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+class Text(str):
+    pass
+
+
+_TEXT = st.text(st.sampled_from('ab1"\\/\n\t\x00\x1f\x7fé€😀\ud800'), max_size=4)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _documents(draw):
+    # One tuple of labels at three depths: a memo keyed without the depth
+    # would indent the deeper copies wrong.
+    labels = draw(st.lists(_TEXT, max_size=3).map(tuple))
+    return {"labels": labels, "body": draw(_VALUES), "deeper": [[labels], labels]}
+
+
+class TestJsonText:
+    @given(_documents() | _VALUES)
+    @example({"ints": (1,), "bools": (True,), "floats": (1.0,), "label": ("1",)})
+    @example([("1", "2"), [("1", "2")], "12", [[("1", "2")]]])
+    @example({"keys": {1: "a", None: [1, {"x": ()}], True: 2.5}, "empty": [{}, [], ()]})
+    @example([{"sub": [Text("a\n"), Level.LOW, OrderedDict(k=[1, [2]]), ()]}, (Text("t"),)])
+    @example({"big": [2**200, -(2**200)], "odd": [float("nan"), float("-inf"), -0.0]})
+    def test_equals_json_dumps(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_unserializable_value_raises_as_json_does(self):
+        with pytest.raises(TypeError):
+            json_text({"a": [object()]})
 
 
 class TestText:
