@@ -223,15 +223,14 @@ def _cmd_classes(args, docs):
 
 
 def _cmd_partitions(args, docs):
-    if args.format == "dot":
-        from .star import PARTITION_SLICE_LIMIT, partition_slice
-
-        universe = _universe_arg(docs, args, "partition slice", PARTITION_SLICE_LIMIT)
-        diagram = partition_slice(universe)
-        return export_dot(diagram.nodes, diagram.edges, name="partitions"), EXIT_OK
     from .enumeration import PARTITION_ENUM_LIMIT, all_partitions
 
     universe = _universe_arg(docs, args, "partition enumeration", PARTITION_ENUM_LIMIT)
+    if args.format == "dot":
+        from .star import partition_slice
+
+        diagram = partition_slice(universe)
+        return export_dot(diagram.nodes, diagram.edges, name="partitions"), EXIT_OK
     parts = all_partitions(universe)
     if args.format == "json":
         return json_text(covers_doc(universe, list(parts))), EXIT_OK

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Cover, FeatureUniverse, bits
+from .core import Cover, FeatureUniverse, bits, preimage_key
 from .errors import CycleError, ValidationError, guard_features
 from .order import distinct_covers
 
@@ -141,13 +141,13 @@ def class_count(universe: FeatureUniverse) -> int:
 
 
 def _iter_index_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    # Blocks as bitmasks; element i either joins an existing block or opens
-    # a new one, which yields every set partition exactly once.
+    # Blocks as bitmasks in canonical order; element i joins an existing block
+    # or opens a new one, which yields every set partition exactly once.
     blocks: list[int] = []
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            yield tuple(blocks)
+            yield tuple(sorted(blocks, key=preimage_key))
             return
         bit = 1 << i
         for j in range(len(blocks)):
@@ -164,7 +164,7 @@ def _iter_index_partitions(n: int) -> Iterator[tuple[int, ...]]:
 def all_partitions(universe: FeatureUniverse) -> tuple[Cover, ...]:
     """Every partition of the universe, as covers in canonical order."""
     guard_features("partition enumeration", universe.n, PARTITION_ENUM_LIMIT)
-    parts = [Cover(universe, blocks) for blocks in _iter_index_partitions(universe.n)]
+    parts = [Cover._from_canonical(universe, b) for b in _iter_index_partitions(universe.n)]
     parts.sort(key=lambda c: c.canonical_key)
     return tuple(parts)
 

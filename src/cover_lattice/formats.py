@@ -8,6 +8,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .core import Cover, FeatureUniverse, SensorMap, preimage_key
@@ -309,10 +310,11 @@ def _cover_doc(c: Cover) -> dict:
 
 def covers_doc(universe: FeatureUniverse, covers: Sequence[Cover]) -> dict:
     """Multi-cover document; also the layout emitted by enumeration commands."""
+    labels_of = lru_cache(maxsize=None)(universe.labels_of)  # each distinct mask once
     return {
         "universe": list(universe.labels),
         "count": len(covers),
-        "covers": [_cover_arrays(c) for c in covers],
+        "covers": [list(map(labels_of, c.masks)) for c in covers],
     }
 
 
@@ -422,10 +424,6 @@ def serialize_document(value) -> str:
 # ---------------------------------------------------------------------------
 # DOT export
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def export_dot(
     nodes: Iterable[Cover],
     edges: Iterable[tuple[Cover, Cover]],
@@ -436,12 +434,15 @@ def export_dot(
 
     Node identifiers are canonical cover strings such as ``{1,2}|{2,3}``.
     """
-    ordered = sorted(dict.fromkeys(nodes), key=lambda c: c.canonical_key)
-    edge_list = sorted(set(edges), key=lambda e: (e[0].canonical_key, e[1].canonical_key))
+    nodes, edges = dict.fromkeys(nodes), set(edges)
+    # Each cover, an edge end outside ``nodes`` included, is rendered once, and
+    # edges sort by the ranks of their ends instead of comparing cover keys.
+    ordered = sorted({*nodes, *(c for e in edges for c in e)}, key=lambda c: c.canonical_key)
+    rank = {c: i for i, c in enumerate(ordered)}
+    quoted = ['"%s"' % cover_text(c).replace("\\", "\\\\").replace('"', '\\"') for c in ordered]
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    for c in ordered:
-        lines.append(f'  "{_dot_escape(cover_text(c))}";')
-    for a, b in edge_list:
-        lines.append(f'  "{_dot_escape(cover_text(a))}" -> "{_dot_escape(cover_text(b))}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  {quoted[i]};" for i, c in enumerate(ordered) if c in nodes]
+    pairs = sorted((rank[a], rank[b]) for a, b in edges)
+    lines += [f"  {quoted[i]} -> {quoted[j]};" for i, j in pairs]
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -10,9 +10,10 @@ one equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import Cover, FeatureUniverse, bits, preimage_key
-from .errors import SizeGuardError, ValidationError, guard_features
+from .errors import SizeGuardError, ValidationError
 from .order import _check_universes, meet
 
 __all__ = [
@@ -33,8 +34,6 @@ __all__ = [
 
 MAX_PREIMAGE_BITS = 20
 MAX_CLASS_EXTRA = 20
-# 4,140 partitions at 8 features and every pair of them compared; 21,147 at 9.
-PARTITION_SLICE_LIMIT = 8
 
 
 def star_closure(v: Cover) -> Cover:
@@ -171,12 +170,13 @@ class OrderDiagram:
 def partition_slice(universe: FeatureUniverse) -> OrderDiagram:
     """All partitions of the universe under the refinement order.
 
-    Edge ``(p, q)`` means ``p`` is an immediate refinement of ``q``; finer
-    partitions sit higher.  Restricted to partitions, refinement agrees
-    with the combined cover ordering.
+    Edge ``(p, q)`` means ``q`` merges two blocks of ``p``, which is what an
+    immediate refinement is; finer partitions sit higher.  Restricted to
+    partitions, refinement agrees with the combined cover ordering.
     """
-    guard_features("partition slice", universe.n, PARTITION_SLICE_LIMIT)
-    from .enumeration import all_partitions, hasse_edges
+    from .enumeration import all_partitions
 
     parts = all_partitions(universe)
-    return OrderDiagram(parts, frozenset(hasse_edges(parts, "proceeds")))
+    by_blocks = {p.mask_set: p for p in parts}
+    pairs = ((p, p.mask_set - {a, b} | {a | b}) for p in parts for a, b in combinations(p.masks, 2))
+    return OrderDiagram(parts, frozenset((p, by_blocks[q]) for p, q in pairs))

@@ -829,7 +829,7 @@ REFUSALS = {
     "classes --max-n 7": "class count limited to 6 features (got 7)",
     "partitions --max-n 11": "partition enumeration limited to 10 features (got 11)",
     "partitions --max-n 11 --format json": "partition enumeration limited to 10 features (got 11)",
-    "partitions --max-n 9 --format dot": "partition slice limited to 8 features (got 9)",
+    "partitions --max-n 11 --format dot": "partition enumeration limited to 10 features (got 11)",
     "search-sensors": "cover search limited to 9 features (got 10)",
 }
 

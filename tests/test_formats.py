@@ -303,6 +303,18 @@ class TestDot:
         )
         assert export_dot(nodes, edges) == expected
 
+    def test_edge_ends_outside_nodes_render_in_key_order(self, u3):
+        top, mid, bot = C(u3, "123"), C(u3, "1", "123"), C(u3, "1", "2", "123")
+        out = export_dot([mid], [(mid, bot), (top, mid)])
+        assert out == (
+            "digraph covers {\n"
+            "  rankdir=TB;\n"
+            '  "{1}|{1,2,3}";\n'
+            '  "{1,2,3}" -> "{1}|{1,2,3}";\n'
+            '  "{1}|{1,2,3}" -> "{1}|{2}|{1,2,3}";\n'
+            "}\n"
+        )
+
     def test_single_node_no_edges(self, u2):
         out = export_dot([C(u2, "12")], [])
         assert out.count("->") == 0

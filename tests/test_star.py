@@ -281,6 +281,6 @@ class TestPartitions:
         assert diagram.edges == expected
 
     def test_slice_guard(self):
-        u = make_universe([str(i) for i in range(9)])
-        with pytest.raises(SizeGuardError, match=r"partition slice limited to 8 features \(got 9\)"):
+        u = make_universe([str(i) for i in range(11)])
+        with pytest.raises(SizeGuardError, match=r"partition enumeration limited to 10 features \(got 11\)"):
             partition_slice(u)
