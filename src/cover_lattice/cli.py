@@ -25,6 +25,7 @@ from .formats import (
     json_text,
     parse_document,
     policy_doc,
+    ranked_diagram,
     serialize_document,
 )
 
@@ -246,15 +247,15 @@ def _cmd_hasse(args, docs):
     edges = hasse_edges(covers, args.order)
     if args.format == "dot":
         return export_dot(covers, edges), EXIT_OK
-    ordered = sorted(edges, key=lambda e: (e[0].canonical_key, e[1].canonical_key))
+    texts, node_ranks, pairs = ranked_diagram(covers, edges)
     if args.format == "json":
         doc = {
             "order": args.order,
-            "nodes": [cover_text(c) for c in _sorted_covers(covers)],
-            "edges": [[cover_text(a), cover_text(b)] for a, b in ordered],
+            "nodes": [texts[i] for i in node_ranks],
+            "edges": [[texts[i], texts[j]] for i, j in pairs],
         }
         return json_text(doc), EXIT_OK
-    return "".join(f"{cover_text(a)} -> {cover_text(b)}\n" for a, b in ordered), EXIT_OK
+    return "".join(f"{texts[i]} -> {texts[j]}\n" for i, j in pairs), EXIT_OK
 
 
 def _cmd_solve(args, docs):
@@ -325,7 +326,7 @@ FLAGS = {
         type=int, dest="max_n", metavar="INT",
         help="the universe size, features named 1..N, when no universe is input",
     ),
-    # The keys of enumeration.ORDERS, which cli does not import at start-up.
+    # enumeration.ORDERS, which cli does not import at start-up.
     "--order": dict(choices=["proceeds", "star", "subsumption"], default="subsumption"),
 }
 

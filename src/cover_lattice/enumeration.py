@@ -7,13 +7,13 @@ count is refused past a fixed feature bound; the streams are not guarded.
 
 from __future__ import annotations
 
-from importlib import import_module
+from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Cover, FeatureUniverse, bits, preimage_key
-from .errors import CycleError, ValidationError, guard_features
+from .core import Cover, FeatureUniverse, preimage_key
+from .errors import CycleError, SizeGuardError, ValidationError, guard_features
 from .order import distinct_covers
 
 if TYPE_CHECKING:  # all_classes imports star when it runs
@@ -43,13 +43,12 @@ CLASS_COUNT_LIMIT = 6
 # Bell(10) = 115,975 partitions; Bell(11) = 678,570.
 PARTITION_ENUM_LIMIT = 10
 
-# The orders hasse_edges draws, each as the layer and name of its relation, so
-# that star loads only when one of its orders is drawn.
-ORDERS = {
-    "subsumption": ("order", "subsumes"),
-    "star": ("star", "star_subsumes"),
-    "proceeds": ("star", "proceeds"),
-}
+# The orders hasse_edges draws.
+ORDERS = ("proceeds", "star", "subsumption")
+# The up-sets of k distinct covers take up to k**2 / 8 bytes, 128 MB at 2**15,
+# and k covers can have about k**2 / 4 edges, so both are bounded.
+HASSE_LIMIT = 1 << 15
+HASSE_EDGE_LIMIT = 1 << 20
 
 
 def iter_covers(universe: FeatureUniverse) -> Iterator[Cover]:
@@ -173,41 +172,58 @@ def hasse_edges(items: Iterable[Cover], order: str = "subsumption") -> set[tuple
     """Transitive-reduction edges of the chosen order on ``items``.
 
     Edge ``(a, b)`` places ``a`` immediately above ``b`` in the diagram.
-    ``star`` and ``proceeds`` are preorders in general, so the relation
-    must be antisymmetric on ``items``; a violating pair raises
-    ``CycleError`` with the witness attached.
+    Each order is inclusion of one set per cover: ``mask_set`` under
+    ``subsumption``, the star closure's ``mask_set`` under ``star`` and
+    ``proceeds``, which are one relation, since a sub-collection's closure
+    is a subset of the other's.  ``star`` and ``proceeds`` are preorders in
+    general, so no two of ``items`` may have equal sets; the first cover
+    that shares its set with a later one raises ``CycleError``, with that
+    pair attached as its witness.  Refused past ``HASSE_LIMIT`` distinct
+    covers, before any closure is built, and past ``HASSE_EDGE_LIMIT`` edges.
     """
-    try:
-        layer, name = ORDERS[order]
-    except KeyError:
-        raise ValidationError(
-            f"unknown order {order!r}; choose from {sorted(ORDERS)}"
-        ) from None
-    rel = getattr(import_module(f"{__package__}.{layer}"), name)
+    if order not in ORDERS:
+        raise ValidationError(f"unknown order {order!r}; choose from {sorted(ORDERS)}")
     nodes = distinct_covers(items)
     k = len(nodes)
-    rows = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if i != j and rel(nodes[i], nodes[j]):
-                row |= 1 << j
-        rows.append(row)
-    if order != "subsumption":
-        for i in range(k):
-            for j in bits(rows[i]):
-                if rows[j] >> i & 1:
-                    raise CycleError(
-                        f"{order} is not antisymmetric on these items: "
-                        f"{nodes[i]} and {nodes[j]} relate in both directions",
-                        witness=(nodes[i], nodes[j]),
-                    )
+    if k > HASSE_LIMIT:
+        raise SizeGuardError(f"hasse diagram limited to {HASSE_LIMIT} distinct covers (got {k})")
+    if k < 2:
+        return set()
+    if order == "subsumption":
+        sets = [c.mask_set for c in nodes]
+    else:
+        from .star import star_closure
+
+        sets = [star_closure(c).mask_set for c in nodes]
+    by_set: dict[frozenset[int], list[int]] = {}
+    for i, s in enumerate(sets):
+        by_set.setdefault(s, []).append(i)
+    for same in by_set.values():  # in order of each set's first cover
+        if len(same) > 1:
+            a, b = nodes[same[0]], nodes[same[1]]
+            raise CycleError(
+                f"{order} is not antisymmetric on these items: "
+                f"{a} and {b} relate in both directions",
+                witness=(a, b),
+            )
+    # Number the covers by set size, so a cover's strict supersets all come
+    # after it, and give each pre-image a column of the covers that hold it.
+    by_size = sorted(range(k), key=lambda i: len(sets[i]))
+    nodes, sets = [nodes[i] for i in by_size], [sets[i] for i in by_size]
+    columns: dict[int, int] = {}
+    for r, s in enumerate(sets):
+        for m in s:
+            columns[m] = columns.get(m, 0) | 1 << r
+    ups = [reduce(int.__and__, map(columns.__getitem__, s)) for s in sets]
+    # The lowest cover left in an up-set is an immediate successor, and the
+    # covers above it are not.
     edges = set()
-    for i in range(k):
-        row = rows[i]
-        through = 0
-        for j in bits(row):
-            through |= rows[j]
-        for j in bits(row & ~through):
-            edges.add((nodes[i], nodes[j]))
+    for r, up in enumerate(ups):
+        up ^= 1 << r
+        while up:
+            j = (up & -up).bit_length() - 1
+            edges.add((nodes[r], nodes[j]))
+            up &= ~ups[j]
+        if len(edges) > HASSE_EDGE_LIMIT:
+            raise SizeGuardError(f"hasse diagram limited to {HASSE_EDGE_LIMIT} edges (got more)")
     return edges

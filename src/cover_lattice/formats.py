@@ -30,6 +30,7 @@ __all__ = [
     "json_text",
     "parse_document",
     "policy_doc",
+    "ranked_diagram",
     "serialize_document",
 ]
 
@@ -422,7 +423,25 @@ def serialize_document(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# DOT export
+# diagrams and DOT export
+
+def ranked_diagram(
+    nodes: Iterable[Cover], edges: Iterable[tuple[Cover, Cover]]
+) -> tuple[list[str], list[int], list[tuple[int, int]]]:
+    """A diagram in output order: cover texts, node ranks and edge rank pairs.
+
+    Every cover, an edge end outside ``nodes`` included, is sorted once by
+    ``canonical_key`` and rendered once; its rank is its place in that
+    order.  ``nodes`` come as ascending ranks without repeats, and edges as
+    sorted pairs of the ranks of their ends, so no cover key is compared
+    per edge.
+    """
+    nodes, edges = dict.fromkeys(nodes), set(edges)
+    ordered = sorted({*nodes, *(c for e in edges for c in e)}, key=lambda c: c.canonical_key)
+    rank = {c: i for i, c in enumerate(ordered)}
+    node_ranks = [i for i, c in enumerate(ordered) if c in nodes]
+    return list(map(cover_text, ordered)), node_ranks, sorted((rank[a], rank[b]) for a, b in edges)
+
 
 def export_dot(
     nodes: Iterable[Cover],
@@ -434,15 +453,10 @@ def export_dot(
 
     Node identifiers are canonical cover strings such as ``{1,2}|{2,3}``.
     """
-    nodes, edges = dict.fromkeys(nodes), set(edges)
-    # Each cover, an edge end outside ``nodes`` included, is rendered once, and
-    # edges sort by the ranks of their ends instead of comparing cover keys.
-    ordered = sorted({*nodes, *(c for e in edges for c in e)}, key=lambda c: c.canonical_key)
-    rank = {c: i for i, c in enumerate(ordered)}
-    quoted = ['"%s"' % cover_text(c).replace("\\", "\\\\").replace('"', '\\"') for c in ordered]
+    texts, node_ranks, pairs = ranked_diagram(nodes, edges)
+    quoted = ['"%s"' % t.replace("\\", "\\\\").replace('"', '\\"') for t in texts]
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    lines += [f"  {quoted[i]};" for i, c in enumerate(ordered) if c in nodes]
-    pairs = sorted((rank[a], rank[b]) for a, b in edges)
+    lines += [f"  {quoted[i]};" for i in node_ranks]
     lines += [f"  {quoted[i]} -> {quoted[j]};" for i, j in pairs]
     lines.append("}\n")
     return "\n".join(lines)

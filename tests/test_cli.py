@@ -3,11 +3,13 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from cover_lattice import (
+    iter_antichain_covers,
     make_cover,
     make_universe,
     maximal_solvable_covers,
@@ -519,6 +521,36 @@ class TestHasse:
         status, _, _ = invoke(capsys, "hasse")
         assert status == 2
 
+    def test_json_lists_a_repeated_cover_once(self, capsys, files):
+        doc = {"universe": ["1", "2"], "covers": [[["1", "2"]], [["1"], ["1", "2"]], [["1", "2"]]]}
+        status, out, _ = invoke(capsys, "hasse", "--input", files("covers.json", doc), "--format", "json")
+        assert status == 0
+        assert json.loads(out) == {
+            "order": "subsumption",
+            "nodes": ["{1,2}", "{1}|{1,2}"],
+            "edges": [["{1,2}", "{1}|{1,2}"]],
+        }
+
+    @pytest.mark.parametrize("order", ["subsumption", "star"])
+    def test_formats_share_one_order(self, capsys, files, order):
+        u3 = make_universe(["1", "2", "3"])
+        covers = list(iter_antichain_covers(u3))[::-1]
+        path = files("covers.json", covers_doc(u3, covers))
+        outs = {
+            fmt: invoke(capsys, "hasse", "--input", path, "--order", order, "--format", fmt)[1]
+            for fmt in ("text", "json", "dot")
+        }
+        text_edges = [line.split(" -> ") for line in outs["text"].splitlines()]
+        dot_edges = [
+            [end.strip('"') for end in line.strip().rstrip(";").split(" -> ")]
+            for line in outs["dot"].splitlines() if " -> " in line
+        ]
+        doc = json.loads(outs["json"])
+        assert len(text_edges) > 1
+        assert text_edges == doc["edges"] == dot_edges
+        dot_nodes = [line.strip()[1:-2] for line in outs["dot"].splitlines()[2:-1] if " -> " not in line]
+        assert doc["nodes"] == dot_nodes == [cover_text(c) for c in _sorted_covers(covers)]
+
 
 class TestPlanningCommands:
     def test_solve_unsolvable(self, capsys, files, junction_doc):
@@ -831,6 +863,7 @@ REFUSALS = {
     "partitions --max-n 11 --format json": "partition enumeration limited to 10 features (got 11)",
     "partitions --max-n 11 --format dot": "partition enumeration limited to 10 features (got 11)",
     "search-sensors": "cover search limited to 9 features (got 10)",
+    "hasse --order star": "hasse diagram limited to 32768 distinct covers (got 32769)",
 }
 
 
@@ -853,6 +886,11 @@ class TestBoundPlumbing:
                 },
             )
             argv = (*argv, "--input", problem)
+        elif command.startswith("hasse"):
+            # 6-feature class representatives: no two have equal closures.
+            u6 = make_universe([str(i + 1) for i in range(6)])
+            reps = list(islice(iter_antichain_covers(u6), 32769))
+            argv = (*argv, "--input", files("reps.json", covers_doc(u6, reps)))
         status, out, err = run_module(*argv, timeout=10)
         assert (status, out) == (1, b"")
         assert err == f"error: {REFUSALS[command]}\n".encode()

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from cover_lattice import (
+    Cover,
     CycleError,
     SizeGuardError,
     ValidationError,
@@ -15,7 +18,9 @@ from cover_lattice import (
     iter_antichain_covers,
     iter_covers,
     make_universe,
+    proceeds,
     star_closure,
+    star_subsumes,
     subsumes,
 )
 
@@ -231,3 +236,66 @@ class TestHasseEdges:
     def test_unknown_order(self, u2):
         with pytest.raises(ValidationError):
             hasse_edges({C(u2, "12")}, "alphabetical")
+
+    @pytest.mark.parametrize("order", ["star", "proceeds"])
+    def test_cycle_names_the_first_cover_with_an_equal_later_one(self, u3, order):
+        # The A's and the B's are star-equivalent pairs; B2 is the first cover
+        # whose set was seen before, yet A1 is the first that has a twin.
+        a1, b1, b2, a2 = C(u3, "123"), C(u3, "12", "3"), C(u3, "1", "12", "3"), C(u3, "1", "123")
+        with pytest.raises(CycleError) as excinfo:
+            hasse_edges([a1, b1, b2, a2], order)
+        assert str(excinfo.value) == (
+            f"{order} is not antisymmetric on these items: "
+            "{1,2,3} and {1}|{1,2,3} relate in both directions"
+        )
+        assert excinfo.value.witness == (a1, a2)
+
+    def test_single_cover_is_not_closed(self):
+        u21 = make_universe([str(i) for i in range(21)])
+        wide = Cover(u21, [u21.full_mask])
+        with pytest.raises(SizeGuardError):
+            star_closure(wide)
+        assert hasse_edges([wide, wide], "star") == set()
+
+    def test_edge_guard(self, u3, monkeypatch):
+        chain = [C(u3, "123"), C(u3, "1", "123"), C(u3, "1", "2", "123")]
+        monkeypatch.setattr(enumeration, "HASSE_EDGE_LIMIT", 1)
+        with pytest.raises(SizeGuardError, match=r"^hasse diagram limited to 1 edges \(got more\)$"):
+            hasse_edges(chain)
+        monkeypatch.setattr(enumeration, "HASSE_EDGE_LIMIT", 2)
+        assert len(hasse_edges(chain)) == 2
+
+
+def brute_reduction(items, relation):
+    """Edges of ``relation`` on distinct ``items`` that no third item lies between."""
+    above = {(a, b) for a in items for b in items if a != b and relation(a, b)}
+    return {(a, b) for a, b in above if not any((a, c) in above and (c, b) in above for c in items)}
+
+
+def one_per_class(covers):
+    return list({star_closure(c): c for c in reversed(covers)}.values())
+
+
+class TestHasseOracle:
+    """The bit-column diagram against a reduction of the public predicates."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, covers3, u4):
+        covers4 = all_covers(u4)
+        return {
+            "covers3": list(covers3),
+            "representatives4": list(iter_antichain_covers(u4)),
+            **{f"sample{seed}": random.Random(seed).sample(covers4, 40) for seed in range(6)},
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["covers3", "representatives4", *(f"sample{seed}" for seed in range(6))]
+    )
+    def test_matches_brute_force(self, inputs, name):
+        items = inputs[name]
+        assert hasse_edges(items, "subsumption") == brute_reduction(items, subsumes)
+        classes = one_per_class(items)  # star and proceeds need distinct closures
+        star = hasse_edges(classes, "star")
+        assert star == brute_reduction(classes, star_subsumes)
+        assert star == hasse_edges(classes, "proceeds")
+        assert star == brute_reduction(classes, proceeds)

@@ -96,6 +96,14 @@ def test_enumerate_loads_no_star(fmt, tmp_path, capsys):
     assert "dataclasses" not in loaded
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_hasse_by_subsumption_loads_no_star(fmt, docs, tmp_path, capsys):
+    argv = ["hasse", "--input", docs["a"], "--input", docs["b"], "--format", fmt]
+    loaded = probe(argv, tmp_path, capsys)
+    assert "cover_lattice.enumeration" in loaded
+    assert "cover_lattice.star" not in loaded
+
+
 @pytest.mark.parametrize("command", ["solve", "policy"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_planning_loads_no_order_or_star(command, fmt, docs, tmp_path, capsys):
