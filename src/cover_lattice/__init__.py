@@ -27,7 +27,8 @@ _EXPORTS = {
     ),
     "enumeration": (
         "all_classes", "all_covers", "all_partitions", "class_count", "cover_count",
-        "hasse_edges", "iter_antichain_covers", "iter_covers",
+        "hasse_edges", "iter_antichain_covers", "iter_cover_masks", "iter_covers",
+        "partition_count", "partition_masks",
     ),
     "errors": (
         "CoverLatticeError", "CycleError", "SchemaError", "SizeGuardError",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Each handler imports the layers it calls, so a process loads only what its
 # subcommand uses.
@@ -20,7 +20,7 @@ from .formats import (
     class_report_doc,
     classes_doc,
     cover_text,
-    covers_doc,
+    covers_chunks,
     export_dot,
     json_text,
     parse_document,
@@ -87,6 +87,7 @@ def _universe_arg(docs, args, what: str, bound: int) -> FeatureUniverse:
         if isinstance(d, FeatureUniverse):
             if args.max_n is not None:
                 raise UsageError("give a universe input or --max-n N, not both")
+            guard_features(what, d.n, bound)
             return d
     n = args.max_n
     if n is None:
@@ -188,7 +189,7 @@ def _cmd_members(args, docs):
     cover = _one_cover(docs)
     members = _sorted_covers(class_members(cover))
     if args.format == "json":
-        return json_text(covers_doc(cover.universe, members)), EXIT_OK
+        return covers_chunks(cover.universe, len(members), (m.masks for m in members)), EXIT_OK
     return "".join(cover_text(m) + "\n" for m in members), EXIT_OK
 
 
@@ -203,11 +204,11 @@ def _cmd_proceeds(args, docs):
 
 
 def _cmd_enumerate(args, docs):
-    from .enumeration import COUNT_LIMIT, COVER_ENUM_LIMIT, all_covers, cover_count
+    from .enumeration import COUNT_LIMIT, COVER_ENUM_LIMIT, cover_count, iter_cover_masks
 
     if args.format == "json":
         universe = _universe_arg(docs, args, "cover enumeration", COVER_ENUM_LIMIT)
-        return json_text(covers_doc(universe, list(all_covers(universe)))), EXIT_OK
+        return covers_chunks(universe, cover_count(universe), iter_cover_masks(universe)), EXIT_OK
     universe = _universe_arg(docs, args, "cover count", COUNT_LIMIT)
     return f"{cover_count(universe)}\n", EXIT_OK
 
@@ -224,7 +225,7 @@ def _cmd_classes(args, docs):
 
 
 def _cmd_partitions(args, docs):
-    from .enumeration import PARTITION_ENUM_LIMIT, all_partitions
+    from .enumeration import PARTITION_ENUM_LIMIT, partition_count, partition_masks
 
     universe = _universe_arg(docs, args, "partition enumeration", PARTITION_ENUM_LIMIT)
     if args.format == "dot":
@@ -232,10 +233,10 @@ def _cmd_partitions(args, docs):
 
         diagram = partition_slice(universe)
         return export_dot(diagram.nodes, diagram.edges, name="partitions"), EXIT_OK
-    parts = all_partitions(universe)
     if args.format == "json":
-        return json_text(covers_doc(universe, list(parts))), EXIT_OK
-    return f"{len(parts)}\n", EXIT_OK
+        parts = partition_masks(universe)
+        return covers_chunks(universe, len(parts), parts), EXIT_OK
+    return f"{partition_count(universe)}\n", EXIT_OK
 
 
 def _cmd_hasse(args, docs):
@@ -287,7 +288,7 @@ def _cmd_search_sensors(args, docs):
     problem = _pick(docs, PlanningProblem, "problem")
     found = _sorted_covers(maximal_solvable_covers(problem))
     if args.format == "json":
-        return json_text(covers_doc(problem.universe, found)), EXIT_OK
+        return covers_chunks(problem.universe, len(found), (c.masks for c in found)), EXIT_OK
     return "".join(cover_text(c) + "\n" for c in found), EXIT_OK
 
 
@@ -390,7 +391,7 @@ def run_cli(argv: Sequence[str]) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         docs = _load_inputs(args)
-        text, status = COMMANDS[args.command][0](args, docs)
+        out, status = COMMANDS[args.command][0](args, docs)
     except (UsageError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -398,24 +399,36 @@ def run_cli(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        if args.out:
-            text.encode("utf-8")  # an unencodable label fails before the file is created
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        _write([out] if isinstance(out, str) else out, args.out or None)
     except UnicodeEncodeError as exc:
         print(f"error: cannot encode output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # a full disk or a closed pipe (BrokenPipeError)
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out or 'output'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return status
+
+
+def _write(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks in turn to the file ``path``, or to stdout.
+
+    A handler's output is one string or, for a listing, a stream of chunks
+    that it has checked every guard for.  The file is created at the first
+    chunk, once that chunk encodes, so output that fails to encode at once
+    leaves no file.
+    """
+    fh = sys.stdout if path is None else None
+    try:
+        for chunk in chunks:
+            if fh is None:
+                chunk.encode("utf-8")
+                fh = open(path, "w", encoding="utf-8")
+            fh.write(chunk)
+        if fh is sys.stdout:
+            fh.flush()
+    finally:
+        if path is not None and fh is not None:
+            fh.close()
 
 
 def main() -> None:

@@ -2,7 +2,8 @@
 
 A universe of ``n`` features has ``2**n - 1`` candidate pre-images, so
 covers are subsets of that list filtered for coverage.  Each listing and
-count is refused past a fixed feature bound; the streams are not guarded.
+count is refused past a fixed feature bound, but for the streams and the
+polynomial ``partition_count``.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Cover, FeatureUniverse, preimage_key
+from .core import Cover, FeatureUniverse
 from .errors import CycleError, SizeGuardError, ValidationError, guard_features
 from .order import distinct_covers
 
@@ -27,7 +29,10 @@ __all__ = [
     "cover_count",
     "hasse_edges",
     "iter_antichain_covers",
+    "iter_cover_masks",
     "iter_covers",
+    "partition_count",
+    "partition_masks",
 ]
 
 # Each bound is the largest feature count at which its call finishes in under
@@ -49,6 +54,26 @@ ORDERS = ("proceeds", "star", "subsumption")
 # and k covers can have about k**2 / 4 edges, so both are bounded.
 HASSE_LIMIT = 1 << 15
 HASSE_EDGE_LIMIT = 1 << 20
+# Under star and proceeds every cover is closed, and a pre-image of s features
+# closes into 2**s - 1 subsets.  Closures summing to 3 * 2**20 subsets took
+# 20 s and 771 MB; 4 * 2**20 took 28 s and 955 MB, too near both limits.
+HASSE_CLOSURE_LIMIT = 3 << 20
+
+
+def iter_cover_masks(universe: FeatureUniverse) -> Iterator[tuple[int, ...]]:
+    """Stream the pre-image masks of every valid cover, in canonical order.
+
+    ``combinations`` over ``canonical_masks`` yields the collections of
+    each size in lexicographic order of their ranks there, which is
+    ``Cover.canonical_key`` order, so no ``Cover`` or key is built.
+    Unguarded, as ``iter_covers``.
+    """
+    masks = universe.canonical_masks
+    full = universe.full_mask
+    for k in range(1, len(masks) + 1):
+        for combo in combinations(masks, k):
+            if reduce(or_, combo) == full:
+                yield combo
 
 
 def iter_covers(universe: FeatureUniverse) -> Iterator[Cover]:
@@ -57,15 +82,8 @@ def iter_covers(universe: FeatureUniverse) -> Iterator[Cover]:
     Unguarded: ``2**(2**n - 1)`` candidate collections exist, 32,768 at 4
     features and about 2.1 * 10**9 at 5.
     """
-    masks = universe.canonical_masks
-    full = universe.full_mask
-    for k in range(1, len(masks) + 1):
-        for combo in combinations(masks, k):
-            union = 0
-            for m in combo:
-                union |= m
-            if union == full:
-                yield Cover._from_canonical(universe, combo)
+    for masks in iter_cover_masks(universe):
+        yield Cover._from_canonical(universe, masks)
 
 
 def iter_antichain_covers(universe: FeatureUniverse) -> Iterator[Cover]:
@@ -140,13 +158,13 @@ def class_count(universe: FeatureUniverse) -> int:
 
 
 def _iter_index_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    # Blocks as bitmasks in canonical order; element i joins an existing block
-    # or opens a new one, which yields every set partition exactly once.
+    # Blocks as bitmasks; element i joins an existing block or opens a new
+    # one, which yields every set partition exactly once.
     blocks: list[int] = []
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            yield tuple(sorted(blocks, key=preimage_key))
+            yield tuple(blocks)
             return
         bit = 1 << i
         for j in range(len(blocks)):
@@ -160,12 +178,35 @@ def _iter_index_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
+def partition_masks(universe: FeatureUniverse) -> list[tuple[int, ...]]:
+    """The block masks of every partition of the universe, in canonical order.
+
+    Blocks and partitions are sorted on each block's rank in
+    ``canonical_masks``, which orders masks as ``preimage_key`` does, so the
+    order is that of ``Cover.canonical_key`` and no ``Cover`` is built.
+    Refused past ``PARTITION_ENUM_LIMIT`` features.
+    """
+    guard_features("partition enumeration", universe.n, PARTITION_ENUM_LIMIT)
+    rank = {m: i for i, m in enumerate(universe.canonical_masks)}.__getitem__
+    parts = [tuple(sorted(p, key=rank)) for p in _iter_index_partitions(universe.n)]
+    parts.sort(key=lambda p: (len(p), [*map(rank, p)]))
+    return parts
+
+
 def all_partitions(universe: FeatureUniverse) -> tuple[Cover, ...]:
     """Every partition of the universe, as covers in canonical order."""
-    guard_features("partition enumeration", universe.n, PARTITION_ENUM_LIMIT)
-    parts = [Cover._from_canonical(universe, b) for b in _iter_index_partitions(universe.n)]
-    parts.sort(key=lambda c: c.canonical_key)
-    return tuple(parts)
+    return tuple(Cover._from_canonical(universe, p) for p in partition_masks(universe))
+
+
+def partition_count(universe: FeatureUniverse) -> int:
+    """Number of partitions, the Bell number, without building any.
+
+    By ``B(k + 1) = sum_j C(k, j) * B(j)``: about n**2 / 2 products.
+    """
+    bell = [1]
+    for k in range(universe.n):
+        bell.append(sum(comb(k, j) * b for j, b in enumerate(bell)))
+    return bell[-1]
 
 
 def hasse_edges(items: Iterable[Cover], order: str = "subsumption") -> set[tuple[Cover, Cover]]:
@@ -179,7 +220,9 @@ def hasse_edges(items: Iterable[Cover], order: str = "subsumption") -> set[tuple
     general, so no two of ``items`` may have equal sets; the first cover
     that shares its set with a later one raises ``CycleError``, with that
     pair attached as its witness.  Refused past ``HASSE_LIMIT`` distinct
-    covers, before any closure is built, and past ``HASSE_EDGE_LIMIT`` edges.
+    covers and, under ``star`` and ``proceeds``, past ``HASSE_CLOSURE_LIMIT``
+    closure subsets summed over the pre-images, both before any closure is
+    built, and past ``HASSE_EDGE_LIMIT`` edges.
     """
     if order not in ORDERS:
         raise ValidationError(f"unknown order {order!r}; choose from {sorted(ORDERS)}")
@@ -194,6 +237,11 @@ def hasse_edges(items: Iterable[Cover], order: str = "subsumption") -> set[tuple
     else:
         from .star import star_closure
 
+        total = sum((1 << m.bit_count()) - 1 for c in nodes for m in c.masks)
+        if total > HASSE_CLOSURE_LIMIT:
+            raise SizeGuardError(
+                f"hasse diagram limited to {HASSE_CLOSURE_LIMIT} closure subsets (got {total})"
+            )
         sets = [star_closure(c).mask_set for c in nodes]
     by_set: dict[frozenset[int], list[int]] = {}
     for i, s in enumerate(sets):

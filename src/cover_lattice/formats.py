@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .core import Cover, FeatureUniverse, SensorMap, preimage_key
 from .errors import SchemaError
@@ -25,6 +26,7 @@ __all__ = [
     "class_report_doc",
     "classes_doc",
     "cover_text",
+    "covers_chunks",
     "covers_doc",
     "export_dot",
     "json_text",
@@ -310,13 +312,44 @@ def _cover_doc(c: Cover) -> dict:
 
 
 def covers_doc(universe: FeatureUniverse, covers: Sequence[Cover]) -> dict:
-    """Multi-cover document; also the layout emitted by enumeration commands."""
+    """Multi-cover document, the layout ``covers_chunks`` writes; also its test reference."""
     labels_of = lru_cache(maxsize=None)(universe.labels_of)  # each distinct mask once
     return {
         "universe": list(universe.labels),
         "count": len(covers),
         "covers": [list(map(labels_of, c.masks)) for c in covers],
     }
+
+
+# Covers per chunk of a streamed listing: up to 143 KB of text at 4 features.
+_CHUNK_COVERS = 256
+
+
+def covers_chunks(
+    universe: FeatureUniverse, count: int, cover_masks: Iterable[tuple[int, ...]]
+) -> Iterator[str]:
+    """The covers layout as chunks of text, one per few hundred covers.
+
+    ``cover_masks`` yields each cover's pre-image masks, as ``Cover.masks``
+    holds them, and ``count`` is how many covers it yields.  The chunks join to
+    ``json_text(covers_doc(universe, covers))`` byte for byte, but no
+    ``Cover``, document or whole text is held: each cover is a join of the
+    texts of its pre-images, each rendered once.
+    """
+    labels_of = universe.labels_of
+    preimage_text = lru_cache(maxsize=None)(lambda m: _render_array(labels_of(m), 3, {}))
+    yield '{\n  "universe": %s,\n  "count": %d,\n  "covers": [' % (
+        _render(list(universe.labels), 1, {}), count
+    )
+    lead = "\n    "
+    covers = iter(cover_masks)
+    while batch := list(islice(covers, _CHUNK_COVERS)):
+        yield lead + ",\n    ".join(
+            ["[\n      " + ",\n      ".join(map(preimage_text, masks)) + "\n    ]"
+             for masks in batch]
+        )
+        lead = ",\n    "
+    yield ("]" if lead == "\n    " else "\n  ]") + "\n}\n"
 
 
 def _class_body(sc: StarClass) -> dict:
@@ -408,7 +441,7 @@ def serialize_document(value) -> str:
     elif isinstance(value, (tuple, list)):
         if not value:
             raise ValueError("cannot serialize an empty cover sequence without a universe")
-        doc = covers_doc(value[0].universe, list(value))
+        return "".join(covers_chunks(value[0].universe, len(value), (c.masks for c in value)))
     else:
         from .planning import PlanningProblem
         from .stipulations import Stipulation

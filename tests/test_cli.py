@@ -3,12 +3,15 @@ import io
 import json
 import os
 import sys
+import time
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from cover_lattice import (
+    all_covers,
+    all_partitions,
     iter_antichain_covers,
     make_cover,
     make_universe,
@@ -195,7 +198,12 @@ class TestWriteFailure:
     @pytest.mark.parametrize("err", [errno.ENOSPC, errno.EPIPE])
     @pytest.mark.parametrize(
         "argv",
-        [["enumerate", "--max-n", "2"], ["classes", "--max-n", "3", "--format", "json"]],
+        [
+            ["enumerate", "--max-n", "2"],
+            ["classes", "--max-n", "3", "--format", "json"],
+            ["enumerate", "--max-n", "3", "--format", "json"],
+            ["partitions", "--max-n", "4", "--format", "json"],
+        ],
     )
     def test_exit_two(self, capsys, monkeypatch, method, err, argv):
         # OSError(EPIPE, ...) is a BrokenPipeError, what a closed pipe raises.
@@ -491,6 +499,67 @@ class TestEnumeration:
         assert out.count("->") == 6
 
 
+class TestStreamedListings:
+    """The JSON listings are written chunk by chunk, byte for byte the one-document render."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumerate_json(self, capsys, n):
+        u = make_universe([str(i + 1) for i in range(n)])
+        status, out, err = invoke(capsys, "enumerate", "--max-n", str(n), "--format", "json")
+        assert (status, err) == (0, "")
+        assert out == json_text(covers_doc(u, _sorted_covers(all_covers(u))))
+
+    def test_enumerate_json_of_non_ascii_universe(self, capsys, files):
+        u = make_universe(["é", "日本", 'q"\\'])
+        upath = files("u.json", {"universe": list(u.labels)})
+        status, out, err = invoke(capsys, "enumerate", "--input", upath, "--format", "json")
+        assert (status, err) == (0, "")
+        assert out == json_text(covers_doc(u, _sorted_covers(all_covers(u))))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partitions_json(self, capsys, n):
+        u = make_universe([str(i + 1) for i in range(n)])
+        status, out, err = invoke(capsys, "partitions", "--max-n", str(n), "--format", "json")
+        assert (status, err) == (0, "")
+        assert out == json_text(covers_doc(u, _sorted_covers(all_partitions(u))))
+
+    def test_written_in_chunks(self, capsys, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert run_cli(["enumerate", "--max-n", "4", "--format", "json"]) == 0
+        assert len(writes) > 100  # 32,297 covers, 11 MB
+        assert max(map(len, writes)) < 1 << 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--max-n", "4", "--format", "json"),
+            ("partitions", "--max-n", "6", "--format", "json"),
+            ("partitions", "--max-n", "6"),
+        ],
+    )
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        status, out, _ = invoke(capsys, *argv)
+        dest = tmp_path / "listing.json"
+        assert invoke(capsys, *argv, "--out", str(dest)) == (status, "", "")
+        assert dest.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--max-n", "5", "--format", "json"),
+            ("partitions", "--max-n", "11", "--format", "json"),
+        ],
+    )
+    def test_refusal_creates_no_file(self, capsys, tmp_path, argv):
+        dest = tmp_path / "listing.json"
+        status, out, err = invoke(capsys, *argv, "--out", str(dest))
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and "limited to" in err
+        assert not dest.exists()
+
+
 class TestHasse:
     def test_from_enumerate_json(self, capsys, files):
         covers = [[["1", "2", "3"]], [["1"], ["1", "2", "3"]], [["1"], ["2"], ["1", "2", "3"]]]
@@ -550,6 +619,18 @@ class TestHasse:
         assert text_edges == doc["edges"] == dot_edges
         dot_nodes = [line.strip()[1:-2] for line in outs["dot"].splitlines()[2:-1] if " -> " not in line]
         assert doc["nodes"] == dot_nodes == [cover_text(c) for c in _sorted_covers(covers)]
+
+    @pytest.mark.parametrize("order", ["star", "proceeds"])
+    def test_wide_closures_refused_before_closing(self, files, order):
+        # Each cover holds a 20-feature pre-image, 2**20 closure subsets.
+        labels = [str(i + 1) for i in range(21)]
+        covers = [[[lab for lab in labels if lab != x], [x]] for x in labels[:8]]
+        path = files("wide.json", {"universe": labels, "covers": covers})
+        start = time.perf_counter()
+        status, out, err = run_module("hasse", "--input", path, "--order", order, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert (status, out) == (1, b"")
+        assert err == b"error: hasse diagram limited to 3145728 closure subsets (got 8388608)\n"
 
 
 class TestPlanningCommands:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -156,6 +157,15 @@ class TestMakeCover:
         with pytest.raises(TypeError):
             c.labels[2] = "b"
         assert dict(Cover(u2, [3]).labels) == {}
+
+    def test_trusted_mask_set_is_sized_as_validated(self):
+        # A frozenset grown from a tuple holds 728 bytes at 5-7 members, 472 copied from a set.
+        u = make_universe([str(i + 1) for i in range(8)])
+        for k in range(1, 9):
+            c = Cover(u, [1 << i for i in range(k - 1)] + [u.full_mask >> (k - 1) << (k - 1)])
+            trusted = Cover._from_canonical(u, c.masks)
+            assert trusted.mask_set == c.mask_set
+            assert sys.getsizeof(trusted.mask_set) == sys.getsizeof(c.mask_set)
 
     def test_text_rendering(self, u3):
         assert str(C(u3, "12", "23")) == "{1,2}|{2,3}"

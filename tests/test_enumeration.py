@@ -18,6 +18,7 @@ from cover_lattice import (
     iter_antichain_covers,
     iter_covers,
     make_universe,
+    partition_count,
     proceeds,
     star_closure,
     star_subsumes,
@@ -58,10 +59,11 @@ class TestAllCovers:
         assert {as_family(c) for c in all_covers(u2)} == brute_cover_families(u2.labels)
         assert {as_family(c) for c in covers3} == brute_cover_families(u3.labels)
 
-    def test_unique_and_canonically_ordered(self, covers3):
-        assert len(set(covers3)) == len(covers3)
-        keys = [c.canonical_key for c in covers3]
-        assert keys == sorted(keys)
+    def test_unique_and_canonically_ordered(self, covers3, u4):
+        for covers in (covers3, all_covers(u4)):
+            assert len(set(covers)) == len(covers)
+            keys = [c.canonical_key for c in covers]
+            assert keys == sorted(keys)
 
     def test_guard_and_stream_flag(self):
         # the listing is guarded; the stream is not, like the other streams
@@ -160,6 +162,12 @@ class TestAllPartitions:
         parts = all_partitions(u)
         assert len(parts) == bell_number(n)
         assert len(set(parts)) == len(parts)
+        keys = [p.canonical_key for p in parts]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_count_without_listing(self, n):
+        assert partition_count(make_universe([str(i + 1) for i in range(n)])) == bell_number(n)
 
     def test_outputs_are_partitions(self, u4):
         assert all(is_partition(p) for p in all_partitions(u4))
@@ -171,6 +179,27 @@ class TestAllPartitions:
 
 
 class TestHasseEdges:
+    def test_closure_guard_before_any_closure(self):
+        # Each cover holds a 20-feature pre-image: 2**20 - 1 subsets, plus one.
+        u = make_universe([str(i + 1) for i in range(21)])
+        wide = [Cover(u, [u.full_mask ^ 1 << i, 1 << i]) for i in range(4)]
+        for order in ("star", "proceeds"):
+            with pytest.raises(
+                SizeGuardError,
+                match=r"hasse diagram limited to 3145728 closure subsets \(got 4194304\)",
+            ):
+                hasse_edges(wide, order)
+        assert all(c._closure is None for c in wide)
+        assert hasse_edges(wide, "subsumption") == set()
+
+    def test_closure_guard_admits_its_bound(self, monkeypatch, u3):
+        items = [C(u3, "12", "3"), C(u3, "1", "23")]  # 3 + 1 + 1 + 3 subsets
+        monkeypatch.setattr(enumeration, "HASSE_CLOSURE_LIMIT", 8)
+        assert hasse_edges(items, "star") == set()
+        monkeypatch.setattr(enumeration, "HASSE_CLOSURE_LIMIT", 7)
+        with pytest.raises(SizeGuardError, match=r"limited to 7 closure subsets \(got 8\)"):
+            hasse_edges(items, "proceeds")
+
     def test_chain_of_two_edges(self, u3):
         top = C(u3, "123")
         mid = C(u3, "1", "123")

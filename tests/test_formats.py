@@ -23,7 +23,7 @@ from cover_lattice import (
     refines,
     serialize_document,
 )
-from cover_lattice.formats import json_text
+from cover_lattice.formats import covers_chunks, covers_doc, json_text
 
 from util import C
 
@@ -273,6 +273,21 @@ class TestJsonText:
     def test_unserializable_value_raises_as_json_does(self):
         with pytest.raises(TypeError):
             json_text({"a": [object()]})
+
+
+class TestCoversChunks:
+    @pytest.mark.parametrize("pick", [slice(0), slice(1), slice(None, None, 5), slice(None)])
+    def test_join_is_the_document_render(self, covers3, u3, pick):
+        covers = list(covers3[pick])
+        chunks = list(covers_chunks(u3, len(covers), (c.masks for c in covers)))
+        assert "".join(chunks) == json_text(covers_doc(u3, covers))
+        assert len(chunks) == 2 + (len(covers) + 255) // 256
+
+    def test_labels_that_need_escaping(self):
+        u = FeatureUniverse(["é", 'a"b', "\ud800", "tab\t"])
+        covers = [Cover(u, [1, 2, 4, 8]), Cover(u, [u.full_mask, 1]), Cover(u, [3, 12])]
+        text = "".join(covers_chunks(u, 3, (c.masks for c in covers)))
+        assert text == json_text(covers_doc(u, covers)) == serialize_document(covers)
 
 
 class TestText:
