@@ -7,19 +7,25 @@ belief-space planner giving covers their operational meaning, privacy
 stipulations, exhaustive desk-scale enumeration, and a CLI with canonical
 JSON/DOT formats.
 
-``import cover_lattice`` loads no submodule.  The first access to a name
-the package does not hold yet (a name of ``__all__``, a submodule such as
-``cover_lattice.planning``, ``dir()`` or ``from cover_lattice import *``)
-imports every layer at once and binds the whole namespace, so library code
-sees the same package as an eager import would give.  ``python -m
-cover_lattice`` never touches this namespace: it imports ``cli``, which
-imports only the layers the chosen subcommand calls.
+``import cover_lattice`` loads no submodule.  The first access to a public
+name (a name of ``__all__``) imports only the layer that defines it, with
+the layers that layer imports itself, and binds that layer's public names:
+``cover_lattice.solvable`` loads ``core``, ``errors``, ``_kernel`` and
+``planning``, and ``cover_lattice.KERNEL_BACKEND`` loads ``_kernel`` alone.
+Any other first access (a submodule such as ``cover_lattice.planning``
+that is not loaded yet, ``dir()``, ``from cover_lattice import *`` or an
+unknown name) imports every layer and binds the whole namespace.  Each
+name is bound to the object its layer defines, so library code sees the
+same objects as an eager import would give.  ``python -m cover_lattice``
+never touches this namespace: it imports ``cli``, which imports only the
+layers the chosen subcommand calls.
 """
 
 __version__ = "0.1.0"
 
 # Every public name by the layer that defines it, but ``KERNEL_BACKEND``, which
-# ``_load`` binds to ``_kernel.BACKEND``.
+# ``_bind_backend`` binds to ``_kernel.BACKEND``.  A first access to one of these
+# names imports that layer alone.
 _EXPORTS = {
     "core": (
         "Cover", "FeatureUniverse", "RelationTag", "SensorMap", "invert_sensor_map",
@@ -55,19 +61,39 @@ _EXPORTS = {
 __all__ = sorted(["KERNEL_BACKEND", *(name for names in _EXPORTS.values() for name in names)])
 
 
-def _load() -> None:
-    """Import every layer and bind its public names in this namespace."""
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+
+def _import(layer: str):
     from importlib import import_module
 
-    namespace = globals()
-    for module, names in _EXPORTS.items():
-        layer = import_module(f"{__name__}.{module}")
-        namespace.update((name, getattr(layer, name)) for name in names)
-    namespace["KERNEL_BACKEND"] = import_module(f"{__name__}._kernel").BACKEND
+    return import_module(f"{__name__}.{layer}")
+
+
+def _bind(layer: str) -> None:
+    """Import one layer and bind its public names in this namespace."""
+    module = _import(layer)
+    globals().update((name, getattr(module, name)) for name in _EXPORTS[layer])
+
+
+def _bind_backend() -> None:
+    globals()["KERNEL_BACKEND"] = _import("_kernel").BACKEND
+
+
+def _load() -> None:
+    """Import every layer and bind the whole public namespace."""
+    for layer in _EXPORTS:
+        _bind(layer)
+    _bind_backend()
 
 
 def __getattr__(name: str):
-    _load()
+    if name in _LAYER_OF:
+        _bind(_LAYER_OF[name])
+    elif name == "KERNEL_BACKEND":
+        _bind_backend()
+    else:
+        _load()
     try:
         return globals()[name]
     except KeyError:

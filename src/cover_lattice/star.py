@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Cover, FeatureUniverse, bits, preimage_key
+from .core import Cover, FeatureUniverse, bits
 from .errors import SizeGuardError, ValidationError
 from .order import _check_universes, meet
 
@@ -35,6 +35,30 @@ __all__ = [
 MAX_PREIMAGE_BITS = 20
 MAX_CLASS_EXTRA = 20
 
+# Every byte value with its bits in reverse order.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _canonical_order(masks: set[int], n: int) -> tuple[int, ...]:
+    """``masks`` of an ``n``-feature universe, sorted as ``preimage_key`` sorts them.
+
+    Between two masks of one size, ``preimage_key`` puts first the one that
+    holds the lowest feature where they differ.  Reversing a mask's bits makes
+    that feature the highest differing bit, so the size shifted past the
+    reversed mask, minus the reversed mask, orders them the same way with one
+    integer per mask and no tuple.
+    """
+    size = (n + 7) // 8
+    width = 8 * size
+    from_bytes = int.from_bytes
+
+    def key(m: int) -> int:
+        return (m.bit_count() << width) - from_bytes(
+            m.to_bytes(size, "little").translate(_REVERSED_BITS), "big"
+        )
+
+    return tuple(sorted(masks, key=key))
+
 
 def star_closure(v: Cover) -> Cover:
     """Downward closure: every non-empty subset of every pre-image of ``v``.
@@ -42,9 +66,10 @@ def star_closure(v: Cover) -> Cover:
     Idempotent and extensive; refused for a pre-image of more than
     ``MAX_PREIMAGE_BITS`` features, because a pre-image of size ``s``
     contributes ``2**s - 1`` subsets.  Only ``v``'s own pre-images keep
-    their labels.  The subsets are sorted by ``preimage_key``, not filtered
-    from the universe's ``canonical_masks`` table, because that table grows
-    with the universe while the closure grows only with ``v``.
+    their labels.  The subsets are sorted in ``preimage_key`` order on one
+    integer key each, not filtered from the universe's ``canonical_masks``
+    table, because that table grows with the universe while the closure grows
+    only with ``v``.
     """
     if v._closure is not None:
         return v._closure
@@ -60,8 +85,7 @@ def star_closure(v: Cover) -> Cover:
         while s:
             subsets.add(s)
             s = (s - 1) & m
-    masks = tuple(sorted(subsets, key=preimage_key))
-    closed = Cover._from_canonical(v.universe, masks, v.labels)
+    closed = Cover._from_canonical(v.universe, _canonical_order(subsets, v.universe.n), v.labels)
     closed._closure = closed
     v._closure = closed
     return closed
@@ -177,6 +201,19 @@ def partition_slice(universe: FeatureUniverse) -> OrderDiagram:
     from .enumeration import all_partitions
 
     parts = all_partitions(universe)
-    by_blocks = {p.mask_set: p for p in parts}
-    pairs = ((p, p.mask_set - {a, b} | {a | b}) for p in parts for a, b in combinations(p.masks, 2))
-    return OrderDiagram(parts, frozenset((p, by_blocks[q]) for p, q in pairs))
+    # A partition's code holds each block at bit ``n * (its lowest feature)``,
+    # so merging blocks ``a`` and ``b`` turns the code into
+    # ``code - slot[a] - slot[b] + slot[a | b]``: an edge is found by integer
+    # arithmetic and one lookup, with no set built.  The table has 2**n
+    # entries, so it is built after ``all_partitions`` has checked ``n``.
+    n = universe.n
+    slot = [0, *(m << n * ((m & -m).bit_length() - 1) for m in range(1, 1 << n))]
+    by_code = {sum(slot[m] for m in p.masks): p for p in parts}
+    return OrderDiagram(
+        parts,
+        frozenset(
+            (p, by_code[code - slot[a] - slot[b] + slot[a | b]])
+            for code, p in by_code.items()
+            for a, b in combinations(p.masks, 2)
+        ),
+    )

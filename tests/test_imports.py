@@ -133,6 +133,42 @@ def test_bare_import_loads_no_submodule():
     assert loaded == ["cover_lattice"]
 
 
+LOADS = {
+    "from cover_lattice import solvable, maximal_solvable_covers, make_problem, Policy, "
+    "UnsolvableError": ["_kernel", "core", "errors", "planning"],
+    "import cover_lattice; cover_lattice.Cover": ["core", "errors"],
+    "import cover_lattice; cover_lattice.KERNEL_BACKEND": ["_kernel"],
+    "import cover_lattice; cover_lattice.planning": SUBMODULES,
+    "import cover_lattice; dir(cover_lattice)": SUBMODULES,
+}
+
+
+@pytest.mark.parametrize("code", sorted(LOADS))
+def test_first_access_loads_only_its_layer(code):
+    """A public name loads the layer that defines it; a submodule or ``dir()`` loads all."""
+    proc = python("-c", f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = [m for m in json.loads(proc.stdout) if m.startswith("cover_lattice")]
+    assert loaded == ["cover_lattice", *(f"cover_lattice.{m}" for m in LOADS[code])]
+
+
+def test_exports_are_filed_under_their_defining_layer():
+    """A name filed under another layer than the one defining it would load both.
+
+    Names bound to objects from outside the package, such as the ``Belief``
+    alias of ``frozenset``, load nothing more and are not checked.
+    """
+    layers = {f"cover_lattice.{m}" for m in SUBMODULES}
+    misfiled = {
+        name: home
+        for layer, names in cover_lattice._EXPORTS.items()
+        for name in names
+        if (home := getattr(getattr(cover_lattice, name), "__module__", None)) in layers
+        and home != f"cover_lattice.{layer}"
+    }
+    assert misfiled == {}
+
+
 NAMESPACE_CHECKS = {
     "attributes": f"""
 import cover_lattice

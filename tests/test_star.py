@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cover_lattice import (
@@ -22,6 +24,7 @@ from cover_lattice import (
     subsumes,
 )
 
+from cover_lattice.core import preimage_key
 from util import C
 
 
@@ -65,6 +68,30 @@ class TestStarClosure:
         assert len(closed) == 40 + 20 + 4 + 1  # singletons, pairs, the triple closed, {3,39}
         assert closed.masks == Cover(u, reversed(closed.masks)).masks
         assert dict(closed.labels) == {u.mask_of(["3", "39"]): "r"}
+
+    @staticmethod
+    def subsets(masks):
+        return {s for m in masks for s in range(1, m + 1) if s & m == s}
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_masks_in_preimage_key_order(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        u = make_universe([str(i) for i in range(n)])
+        full = (1 << n) - 1
+        masks = {rng.randint(1, full) for _ in range(rng.randint(1, 6))}
+        covered = 0
+        for m in masks:
+            covered |= m
+        c = Cover(u, [*masks, *(1 << i for i in range(n) if not covered >> i & 1)])
+        assert star_closure(c).masks == tuple(sorted(self.subsets(c.masks), key=preimage_key))
+
+    def test_sixteen_feature_preimage_in_preimage_key_order(self):
+        u = make_universe([str(i) for i in range(17)])
+        c = Cover(u, [0xFFFF, 1 << 16])
+        closed = star_closure(c)
+        assert len(closed) == 2**16
+        assert closed.masks == tuple(sorted(self.subsets(c.masks), key=preimage_key))
 
     def test_size_guard(self):
         u = make_universe([str(i) for i in range(21)])
@@ -281,6 +308,8 @@ class TestPartitions:
         assert diagram.edges == expected
 
     def test_slice_guard(self):
-        u = make_universe([str(i) for i in range(11)])
-        with pytest.raises(SizeGuardError, match=r"partition enumeration limited to 10 features \(got 11\)"):
-            partition_slice(u)
+        # Refused before anything of size 2**n is built.
+        for n in (11, 40):
+            u = make_universe([str(i) for i in range(n)])
+            with pytest.raises(SizeGuardError, match=rf"limited to 10 features \(got {n}\)"):
+                partition_slice(u)
