@@ -21,6 +21,8 @@ never touches this namespace: it imports ``cli``, which imports only the
 layers the chosen subcommand calls.
 """
 
+from importlib import import_module as _import_module
+
 __version__ = "0.1.0"
 
 # Every public name by the layer that defines it, but ``KERNEL_BACKEND``, which
@@ -64,20 +66,14 @@ __all__ = sorted(["KERNEL_BACKEND", *(name for names in _EXPORTS.values() for na
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
 
-def _import(layer: str):
-    from importlib import import_module
-
-    return import_module(f"{__name__}.{layer}")
-
-
 def _bind(layer: str) -> None:
     """Import one layer and bind its public names in this namespace."""
-    module = _import(layer)
+    module = _import_module(f"{__name__}.{layer}")
     globals().update((name, getattr(module, name)) for name in _EXPORTS[layer])
 
 
 def _bind_backend() -> None:
-    globals()["KERNEL_BACKEND"] = _import("_kernel").BACKEND
+    globals()["KERNEL_BACKEND"] = _import_module(f"{__name__}._kernel").BACKEND
 
 
 def _load() -> None:

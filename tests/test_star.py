@@ -311,5 +311,7 @@ class TestPartitions:
         # Refused before anything of size 2**n is built.
         for n in (11, 40):
             u = make_universe([str(i) for i in range(n)])
-            with pytest.raises(SizeGuardError, match=rf"limited to 10 features \(got {n}\)"):
+            with pytest.raises(
+                SizeGuardError, match=rf"partition enumeration limited to 10 features \(got {n}\)"
+            ):
                 partition_slice(u)
